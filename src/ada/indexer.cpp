@@ -5,9 +5,6 @@
 #include <utility>
 
 #include "common/admission.hpp"
-#include "common/binary_io.hpp"
-#include "common/crc32c.hpp"
-#include "common/retry.hpp"
 #include "common/thread_pool.hpp"
 #include "obs/events.hpp"
 #include "obs/metrics.hpp"
@@ -70,48 +67,13 @@ Result<std::vector<Tag>> Indexer::tags(const std::string& logical_name) const {
   return out;
 }
 
-Result<std::vector<std::uint8_t>> IoRetriever::retrieve(const std::string& logical_name,
-                                                        const Tag& tag) const {
-  const obs::TraceSpan trace("plfs_read", tag);
-  Indexer indexer(mount_);
-  // The indexer resolves paths; the retriever performs the reads.
-  ADA_ASSIGN_OR_RETURN(const auto locations, indexer.locate(logical_name, tag));
-  ADA_ASSIGN_OR_RETURN(auto out, retrieve(std::span<const DatasetLocation>(locations)));
-  obs::trace_counter("plfs.read.bytes", out.size());
-  return out;
-}
-
-Result<std::vector<std::uint8_t>> IoRetriever::retrieve(
+Result<std::vector<std::vector<std::uint8_t>>> IoRetriever::fetch(
     std::span<const DatasetLocation> locations) const {
+  std::vector<std::vector<std::uint8_t>> out;
+  out.reserve(locations.size());
   if (!options_.parallel() || locations.size() <= 1) {
-    // The serial path: one extent at a time, read then verified, appended in
-    // logical order -- byte-for-byte the pre-scatter-gather retriever.
-    std::vector<std::uint8_t> out;
     for (const DatasetLocation& location : locations) {
-      ADA_ASSIGN_OR_RETURN(const auto extent, retrieve_extent(location));
-      out.insert(out.end(), extent.begin(), extent.end());
-    }
-    return out;
-  }
-  ADA_ASSIGN_OR_RETURN(const auto extents, retrieve_extents(locations));
-  // Ordered merge (the formats::merge_raw_images shape): tasks completed in
-  // whatever order the pool ran them, but assembly is by location index, so
-  // the image is identical to the serial concatenation.
-  std::size_t total = 0;
-  for (const auto& extent : extents) total += extent.size();
-  std::vector<std::uint8_t> out;
-  out.reserve(total);
-  for (const auto& extent : extents) out.insert(out.end(), extent.begin(), extent.end());
-  return out;
-}
-
-Result<std::vector<std::vector<std::uint8_t>>> IoRetriever::retrieve_extents(
-    std::span<const DatasetLocation> locations) const {
-  if (!options_.parallel() || locations.size() <= 1) {
-    std::vector<std::vector<std::uint8_t>> out;
-    out.reserve(locations.size());
-    for (const DatasetLocation& location : locations) {
-      ADA_ASSIGN_OR_RETURN(auto extent, retrieve_extent(location));
+      ADA_ASSIGN_OR_RETURN(auto extent, read(location));
       out.push_back(std::move(extent));
     }
     return out;
@@ -159,7 +121,7 @@ Result<std::vector<std::vector<std::uint8_t>>> IoRetriever::retrieve_extents(
         // Read + CRC verify pipelined on the worker: while this extent
         // transfers, siblings verify, so transfer overlaps decode.
         const obs::TraceSpan span("sg_extent", location.backend_name);
-        results[index] = retrieve_extent(location);
+        results[index] = read(location);
       }
       window.release(location.backend);
     });
@@ -168,8 +130,6 @@ Result<std::vector<std::vector<std::uint8_t>>> IoRetriever::retrieve_extents(
 
   // First failure in *logical* order wins -- the same error the serial loop
   // would have stopped on.
-  std::vector<std::vector<std::uint8_t>> out;
-  out.reserve(locations.size());
   std::uint64_t bytes = 0;
   for (auto& result : results) {
     if (!result.is_ok()) return result.error();
@@ -178,23 +138,6 @@ Result<std::vector<std::vector<std::uint8_t>>> IoRetriever::retrieve_extents(
   }
   ADA_OBS_COUNT("retrieve.sg.bytes", bytes);
   return out;
-}
-
-Result<std::vector<std::uint8_t>> IoRetriever::retrieve_extent(
-    const DatasetLocation& location) const {
-  ADA_ASSIGN_OR_RETURN(const auto bytes,
-                       retry_sync("retrieve_dropping", mount_.retry_policy(), [&] {
-                         return plfs::read_dropping_file(location.host_path);
-                       }));
-  if (bytes.size() < location.physical_offset + location.bytes) {
-    return corrupt_data("dropping " + location.host_path + " size mismatch");
-  }
-  const auto* extent = bytes.data() + location.physical_offset;
-  if (location.has_crc && crc32c(extent, location.bytes) != location.crc32c) {
-    ADA_OBS_COUNT("plfs.crc_mismatch", 1);
-    return corrupt_data("checksum mismatch on " + location.host_path);
-  }
-  return std::vector<std::uint8_t>(extent, extent + location.bytes);
 }
 
 }  // namespace ada::core

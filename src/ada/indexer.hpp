@@ -54,13 +54,12 @@ class Indexer {
 };
 
 /// Scatter-gather retrieval knobs (docs/performance.md, "Scatter-gather
-/// retrieval").  The defaults reproduce the serial pre-scatter-gather read
-/// path byte for byte.
+/// retrieval").
 struct RetrieveOptions {
-  /// Extent reads in flight per retrieve() call.  0 or 1 keeps the serial
-  /// path (one extent at a time, read then verified); N > 1 fans per-extent
-  /// read+verify tasks onto the shared thread pool so transfer of one extent
-  /// overlaps verification/decode of another.
+  /// Extent reads in flight per fetch.  0 or 1 reads the extents one at a
+  /// time on the calling thread; N > 1 fans per-extent read+verify tasks
+  /// onto the shared thread pool so transfer of one extent overlaps
+  /// verification of another.
   unsigned threads = 0;
 
   /// Per-backend admission window for the parallel path: at most this many
@@ -76,33 +75,21 @@ class IoRetriever {
   explicit IoRetriever(const plfs::PlfsMount& mount, RetrieveOptions options = {})
       : mount_(mount), options_(options) {}
 
-  /// Fetch the full subset image for `tag` (POSIX reads on the droppings the
-  /// indexer located).  Reads are retried under the mount's retry policy and
-  /// every extent is verified against its stored CRC32C -- a mismatch is a
-  /// typed kCorruptData error, never silently served bytes.
-  Result<std::vector<std::uint8_t>> retrieve(const std::string& logical_name,
-                                             const Tag& tag) const;
-
-  /// Fetch already-located extents, concatenated in location order.  Callers
-  /// that hold `DatasetLocation`s (the frame-range path, degraded sweeps)
-  /// use this to skip a second index walk.  With options().parallel() the
-  /// extents are read scatter-gather; the assembled bytes are byte-identical
-  /// to the serial loop either way (ordered merge).
-  Result<std::vector<std::uint8_t>> retrieve(std::span<const DatasetLocation> locations) const;
-
-  /// Fetch several located extents as separate images, in location order
-  /// (the frame-range fast path assembles blocks out of these).  Same
-  /// scatter-gather/serial split as retrieve(span).
-  Result<std::vector<std::vector<std::uint8_t>>> retrieve_extents(
+  /// The one fetch: the bytes of each located extent, as separate images in
+  /// location order.  Every extent goes through the mount's extent reader
+  /// (plfs::PlfsMount::read_extent: retried, CRC32C-verified -- a mismatch
+  /// is a typed kCorruptData error, never silently served bytes).  With
+  /// options().parallel() the reads are scatter-gather; either way the first
+  /// failure in location order is the one returned.
+  Result<std::vector<std::vector<std::uint8_t>>> fetch(
       std::span<const DatasetLocation> locations) const;
 
-  /// Fetch one located extent's bytes (same retry + CRC discipline as
-  /// retrieve()).
-  Result<std::vector<std::uint8_t>> retrieve_extent(const DatasetLocation& location) const;
-
-  const RetrieveOptions& options() const noexcept { return options_; }
-
  private:
+  Result<std::vector<std::uint8_t>> read(const DatasetLocation& location) const {
+    return mount_.read_extent(location.host_path, location.physical_offset, location.bytes,
+                              location.has_crc ? &location.crc32c : nullptr);
+  }
+
   const plfs::PlfsMount& mount_;
   RetrieveOptions options_;
 };

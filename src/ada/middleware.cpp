@@ -191,82 +191,18 @@ void Ada::count_query_bytes(const Tag& tag, std::size_t bytes) const {
   per_tag->add(bytes);
 }
 
-Result<std::vector<std::uint8_t>> Ada::query(const std::string& logical_name,
-                                             const Tag& tag) const {
-  const obs::ScopedTimer span("query");
-  const obs::TraceSpan trace("query", tag);
-  ADA_OBS_COUNT("query.calls", 1);
-  if (tag == kLabelFileTag || tag == kOriginalTag) {
-    return invalid_argument("tag '" + tag + "' is reserved");
-  }
-  // The generation is observed BEFORE any read: a write racing the retrieve
-  // below leaves the filled entry detectably stale instead of poisoning
-  // later lookups with bytes from the middle of a mutation.  The fill guard
-  // makes the miss single-flight: concurrent cold misses of the same key
-  // wait for this read instead of each paying their own (it resolves after
-  // the insert below, or on the error return).
-  std::uint64_t generation = 0;
-  QueryCache::FillGuard fill_guard;
-  if (cache_ != nullptr) {
-    generation = mount_.mutation_generation(logical_name);
-    const obs::TraceSpan lookup_trace("cache_lookup", tag);
-    if (const QueryCache::Image hit =
-            cache_->lookup_or_fill(logical_name, tag, generation, &fill_guard)) {
-      count_query_bytes(tag, hit->size());
-      return *hit;  // copy out; the shared image itself stays immutable
-    }
-  }
-  auto subset = [&] {
-    const obs::ScopedTimer retrieve_span("retrieve");
-    const obs::TraceSpan retrieve_trace("retrieve", tag);
-    return IoRetriever(mount_, retrieve_options()).retrieve(logical_name, tag);
-  }();
-  if (subset.is_ok()) {
-    if (cache_ != nullptr) {
-      // Fill only from this CRC-verified read (IoRetriever checks every
-      // extent): a faulted read errors out above and never lands here.
-      const obs::TraceSpan fill_trace("cache_fill", tag);
-      cache_->insert(logical_name, tag, generation, subset.value());
-    }
-    count_query_bytes(tag, subset.value().size());
-  }
-  return subset;
-}
+struct FrameSpan {
+  std::uint64_t begin = 0;
+  std::uint64_t end = std::numeric_limits<std::uint64_t>::max();  // exclusive
+  std::uint64_t stride = 1;
 
-Result<QueryCache::Image> Ada::query_image(const std::string& logical_name,
-                                           const Tag& tag) const {
-  const obs::ScopedTimer span("query");
-  const obs::TraceSpan trace("query", tag);
-  ADA_OBS_COUNT("query.calls", 1);
-  if (tag == kLabelFileTag || tag == kOriginalTag) {
-    return invalid_argument("tag '" + tag + "' is reserved");
+  // Global frame indices selected out of `total` frames.
+  std::vector<std::uint64_t> select(std::uint64_t total) const {
+    std::vector<std::uint64_t> picked;
+    for (std::uint64_t g = begin; g < std::min(end, total); g += stride) picked.push_back(g);
+    return picked;
   }
-  std::uint64_t generation = 0;
-  QueryCache::FillGuard fill_guard;
-  if (cache_ != nullptr) {
-    generation = mount_.mutation_generation(logical_name);
-    const obs::TraceSpan lookup_trace("cache_lookup", tag);
-    if (QueryCache::Image hit =
-            cache_->lookup_or_fill(logical_name, tag, generation, &fill_guard)) {
-      count_query_bytes(tag, hit->size());
-      return hit;  // shared, not copied: the whole point of this entry
-    }
-  }
-  auto subset = [&] {
-    const obs::ScopedTimer retrieve_span("retrieve");
-    const obs::TraceSpan retrieve_trace("retrieve", tag);
-    return IoRetriever(mount_, retrieve_options()).retrieve(logical_name, tag);
-  }();
-  if (!subset.is_ok()) return subset.error();
-  count_query_bytes(tag, subset.value().size());
-  if (cache_ != nullptr) {
-    const obs::TraceSpan fill_trace("cache_fill", tag);
-    // insert() returns the image now cached under the key -- the incumbent
-    // if a concurrent fill won, so every racer still shares one allocation.
-    return cache_->insert(logical_name, tag, generation, std::move(subset).value());
-  }
-  return std::make_shared<const std::vector<std::uint8_t>>(std::move(subset).value());
-}
+};
 
 namespace {
 
@@ -275,21 +211,21 @@ namespace {
 // into the budget.
 constexpr std::uint64_t kFrameBlock = 32;
 
-// Cache-key tag for one frame block.  '\x01' cannot appear in a label (the
-// label file is line-oriented text), so block entries can never collide with
-// whole-subset entries; both carry the logical name, so invalidation and
-// generation fencing cover them identically.
-std::string block_tag(const Tag& tag, std::uint64_t block) {
-  return tag + '\x01' + std::to_string(block);
-}
-
-// Cache-key tag for a *partial* frame block: the growing open-tail block of a
-// live stream, or a block straddling the retention floor.  Keying on the
-// frame count makes a grown tail block miss (and re-fill) instead of hitting
-// the shorter cached image; floor moves bump the rewrite generation, which
-// fences the rest.  '\x02', like '\x01', cannot appear in a label.
-std::string partial_block_tag(const Tag& tag, std::uint64_t block, std::uint64_t frames) {
-  return tag + '\x01' + std::to_string(block) + '\x02' + std::to_string(frames);
+// Cache-key tag for frame block `b` holding global frames [lo, hi).  '\x01'
+// cannot appear in a label (the label file is line-oriented text), so block
+// entries never collide with whole-subset entries; both carry the logical
+// name, so invalidation and generation fencing cover them identically.  A
+// *partial* block -- the growing open tail of a live stream, or a block
+// straddling the retention floor -- also keys on its frame count ('\x02'),
+// so a grown tail block misses and re-fills instead of hitting the shorter
+// cached image; floor moves bump the rewrite generation, which fences the
+// rest.
+std::string block_key(const Tag& tag, std::uint64_t b, std::uint64_t lo, std::uint64_t hi) {
+  std::string key = tag + '\x01' + std::to_string(b);
+  if (lo != b * kFrameBlock || hi != (b + 1) * kFrameBlock) {
+    key += '\x02' + std::to_string(hi - lo);
+  }
+  return key;
 }
 
 // True iff the extent is one canonical RawTrajWriter image -- a 16-byte
@@ -336,23 +272,27 @@ void append_raw_header(std::vector<std::uint8_t>& out, std::uint32_t atoms,
   out.insert(out.end(), bytes.begin(), bytes.end());
 }
 
-// Global frame indices a range selects out of `total` frames.
-std::vector<std::uint64_t> select_frames(const FrameRange& range, std::uint64_t total) {
-  std::vector<std::uint64_t> picked;
-  const std::uint64_t limit = std::min<std::uint64_t>(range.end, total);
-  for (std::uint64_t g = range.begin; g < limit; g += range.stride) picked.push_back(g);
-  return picked;
+// Extents concatenated in location order; a single extent is moved, not
+// copied.
+std::vector<std::uint8_t> concat(std::vector<std::vector<std::uint8_t>> extents) {
+  if (extents.size() == 1) return std::move(extents.front());
+  std::size_t total = 0;
+  for (const auto& extent : extents) total += extent.size();
+  std::vector<std::uint8_t> out;
+  out.reserve(total);
+  for (const auto& extent : extents) out.insert(out.end(), extent.begin(), extent.end());
+  return out;
 }
 
 // Fallback slicer: cut the selected frames out of a full (possibly
 // concatenated) subset image.  Byte-identical to the fast path by
 // construction -- both emit header + verbatim frame records.
 Result<std::vector<std::uint8_t>> slice_raw_frames(std::span<const std::uint8_t> image,
-                                                   const FrameRange& range) {
+                                                   const FrameSpan& frames) {
   ADA_ASSIGN_OR_RETURN(const auto cat, formats::RawTrajCatReader::open(image));
   ADA_ASSIGN_OR_RETURN(const auto offsets, formats::scan_raw_frame_offsets(image));
   const std::uint64_t frame_bytes = formats::raw_frame_bytes(cat.atom_count());
-  const auto picked = select_frames(range, offsets.size());
+  const auto picked = frames.select(offsets.size());
   std::vector<std::uint8_t> out;
   out.reserve(16 + picked.size() * frame_bytes);
   append_raw_header(out, cat.atom_count(), static_cast<std::uint32_t>(picked.size()));
@@ -368,15 +308,64 @@ Result<std::vector<std::uint8_t>> slice_raw_frames(std::span<const std::uint8_t>
 
 }  // namespace
 
-Result<std::vector<std::uint8_t>> Ada::query(const std::string& logical_name, const Tag& tag,
-                                             const FrameRange& range) const {
+Result<Ada::Planned> Ada::read(const std::string& logical_name, const Tag& tag,
+                               const FrameSpan* frames) const {
   const obs::ScopedTimer span("query");
-  const obs::TraceSpan trace("query_range", tag);
+  const obs::TraceSpan trace(frames == nullptr ? "query" : "query_range", tag);
   ADA_OBS_COUNT("query.calls", 1);
-  ADA_OBS_COUNT("query.range.calls", 1);
   if (tag == kLabelFileTag || tag == kOriginalTag) {
     return invalid_argument("tag '" + tag + "' is reserved");
   }
+  auto planned = frames == nullptr ? read_subset(logical_name, tag, nullptr)
+                                   : read_frames(logical_name, tag, *frames);
+  if (planned.is_ok()) count_query_bytes(tag, planned.value().bytes().size());
+  return planned;
+}
+
+Result<std::vector<std::vector<std::uint8_t>>> Ada::fetch(
+    std::span<const DatasetLocation> locations, const Tag& tag) const {
+  const obs::ScopedTimer retrieve_span("retrieve");
+  const obs::TraceSpan retrieve_trace("retrieve", tag);
+  const obs::TraceSpan read_trace("plfs_read", tag);
+  return IoRetriever(mount_, RetrieveOptions{config_.read_threads, config_.read_queue_depth})
+      .fetch(locations);
+}
+
+Result<Ada::Planned> Ada::read_subset(const std::string& logical_name, const Tag& tag,
+                                      const std::vector<DatasetLocation>* located) const {
+  // The generation is observed BEFORE any read: a write racing the fetch
+  // below leaves the filled entry detectably stale instead of poisoning
+  // later lookups with bytes from the middle of a mutation.  The fill guard
+  // makes the miss single-flight: concurrent cold misses of the same key
+  // wait for this read instead of each paying their own (it resolves after
+  // the insert below, or on the error return).
+  std::uint64_t generation = 0;
+  QueryCache::FillGuard fill_guard;
+  if (cache_ != nullptr) {
+    generation = mount_.mutation_generation(logical_name);
+    const obs::TraceSpan lookup_trace("cache_lookup", tag);
+    QueryCache::Image hit = cache_->lookup_or_fill(logical_name, tag, generation, &fill_guard);
+    if (hit != nullptr) return Planned{std::move(hit), {}};
+  }
+  std::vector<DatasetLocation> own;
+  if (located == nullptr) {
+    ADA_ASSIGN_OR_RETURN(own, Indexer(mount_).locate(logical_name, tag));
+    located = &own;
+  }
+  ADA_ASSIGN_OR_RETURN(auto extents, fetch(*located, tag));
+  std::vector<std::uint8_t> bytes = concat(std::move(extents));
+  if (cache_ == nullptr) return Planned{nullptr, std::move(bytes)};
+  // Fill only from this CRC-verified read: a faulted read errors out above
+  // and never lands here.  insert() returns the image now cached under the
+  // key -- the incumbent if a concurrent fill won, so every racer shares
+  // one allocation.
+  const obs::TraceSpan fill_trace("cache_fill", tag);
+  return Planned{cache_->insert(logical_name, tag, generation, std::move(bytes)), {}};
+}
+
+Result<Ada::Planned> Ada::read_frames(const std::string& logical_name, const Tag& tag,
+                                      const FrameSpan& range) const {
+  ADA_OBS_COUNT("query.range.calls", 1);
   if (range.stride == 0) return invalid_argument("frame stride must be positive");
 
   // Fencing: frame blocks validate against the *rewrite* generation, which
@@ -385,8 +374,8 @@ Result<std::vector<std::uint8_t>> Ada::query(const std::string& logical_name, co
   // sealed-prefix blocks stay hittable across flushes -- the flush extends
   // the readable prefix instead of invalidating it.  Observed BEFORE any
   // read, so a racing rewrite leaves filled blocks detectably stale.
-  std::uint64_t block_generation = 0;
-  if (cache_ != nullptr) block_generation = mount_.rewrite_generation(logical_name);
+  const std::uint64_t block_generation =
+      cache_ != nullptr ? mount_.rewrite_generation(logical_name) : 0;
 
   ADA_ASSIGN_OR_RETURN(const auto locations, Indexer(mount_).locate(logical_name, tag));
 
@@ -418,174 +407,159 @@ Result<std::vector<std::uint8_t>> Ada::query(const std::string& logical_name, co
   }
   if (!fast || total_frames == base_frame) {
     // Fallback covers containers ingested without frame tables and any
-    // non-canonical extent: fetch the whole subset (through the subset cache
-    // when armed) and slice.  A zero-frame dataset also lands here -- the
-    // atom count then comes from the stored RAW header, which the index
-    // cannot supply.
+    // non-canonical extent: read the whole subset (through the subset cache
+    // when armed; otherwise the locations above are the whole read plan) and
+    // slice.  A zero-frame dataset also lands here -- the atom count then
+    // comes from the stored RAW header, which the index cannot supply.
     ADA_OBS_COUNT("query.range.fallback", 1);
-    std::vector<std::uint8_t> full;
-    if (cache_ != nullptr) {
-      ADA_ASSIGN_OR_RETURN(full, query(logical_name, tag));
-    } else {
-      // With no cache to consult, the droppings this function already
-      // located are the whole read plan: retrieve them directly instead of
-      // walking the index a second time inside retrieve(name, tag).
-      const obs::ScopedTimer retrieve_span("retrieve");
-      const obs::TraceSpan retrieve_trace("retrieve", tag);
-      ADA_ASSIGN_OR_RETURN(full, IoRetriever(mount_, retrieve_options())
-                                     .retrieve(std::span<const DatasetLocation>(locations)));
-      count_query_bytes(tag, full.size());
-    }
+    ADA_ASSIGN_OR_RETURN(const Planned full,
+                         read_subset(logical_name, tag, cache_ != nullptr ? nullptr : &locations));
     // The full image of a retained stream starts at the floor, not frame 0:
     // shift the selection into the image's local numbering.
-    FrameRange local_range = range;
-    local_range.begin = static_cast<std::uint32_t>(range.begin - base_frame);
-    if (range.end != std::numeric_limits<std::uint32_t>::max()) {
-      local_range.end = static_cast<std::uint32_t>(
-          range.end > base_frame ? range.end - base_frame : 0);
-    }
-    auto sliced = slice_raw_frames(full, local_range);
-    if (sliced.is_ok()) count_query_bytes(tag, sliced.value().size());
-    return sliced;
+    FrameSpan local = range;
+    local.begin -= base_frame;
+    local.end = range.end > base_frame ? range.end - base_frame : 0;
+    ADA_ASSIGN_OR_RETURN(auto sliced, slice_raw_frames(full.bytes(), local));
+    return Planned{nullptr, std::move(sliced)};
   }
 
-  const auto atoms = static_cast<std::uint32_t>((frame_bytes - 44) / 12);
-  const auto picked = select_frames(range, total_frames);
-  std::vector<std::uint8_t> out;
-  out.reserve(16 + picked.size() * frame_bytes);
-  append_raw_header(out, atoms, static_cast<std::uint32_t>(picked.size()));
-
-  // A block's available frames, clamped to the retention floor below and the
-  // sealed prefix above.  A clamped (partial) block caches under a
-  // frame-count-suffixed key so a later, longer version of the same block
-  // can never serve the shorter cached image.
-  const auto block_bounds = [&](std::uint64_t b) {
-    return std::pair<std::uint64_t, std::uint64_t>(
-        std::max(b * kFrameBlock, base_frame),
-        std::min((b + 1) * kFrameBlock, total_frames));
-  };
-  const auto block_key = [&](std::uint64_t b, std::uint64_t lo, std::uint64_t hi) {
-    const bool full = lo == b * kFrameBlock && hi == (b + 1) * kFrameBlock;
-    return full ? block_tag(tag, b) : partial_block_tag(tag, b, hi - lo);
-  };
-
-  // Extent images fetched this query: a run of uncached blocks reads each
-  // dropping at most once.
-  std::map<std::size_t, std::vector<std::uint8_t>> fetched;
-  const IoRetriever retriever(mount_, retrieve_options());
+  const auto picked = range.select(total_frames);
   // Owning extent of global frame `g`: last extent whose first frame is
   // <= g (ties from zero-frame extents resolve to the later, owning one).
   const auto extent_of = [&](std::uint64_t g) {
-    std::size_t lo = 0;
-    std::size_t hi = locations.size();
-    while (hi - lo > 1) {
-      const std::size_t mid = (lo + hi) / 2;
-      if (first_frame[mid] <= g) {
-        lo = mid;
-      } else {
-        hi = mid;
-      }
-    }
-    return lo;
+    return static_cast<std::size_t>(
+        std::upper_bound(first_frame.begin(), first_frame.end(), g) - first_frame.begin() - 1);
   };
 
-  // Parallel mode plans the read up front: one pass resolves which blocks
-  // the cache already holds and which extents the uncached blocks touch,
-  // then a single scatter-gather retrieve fetches every needed extent
-  // concurrently.  The serial path keeps fetching on demand, one extent at
-  // a time, exactly as before.
-  // Single-flight claims for the blocks this query will fill: a concurrent
+  // Plan.  With the cache armed, every block the selection touches is
+  // looked up whole and, on a miss, claimed single-flight: a concurrent
   // query touching the same block waits for our insert instead of reading
-  // the same extents again.  Claims are taken in ascending block order
-  // (every path walks `picked` ascending), so two queries can never wait on
-  // each other's blocks in a cycle.  Each claim resolves right after its
-  // block's insert lands in the main loop below (or on any error return).
-  std::map<std::uint64_t, QueryCache::FillGuard> block_guards;
-  std::map<std::uint64_t, QueryCache::Image> planned_blocks;
-  if (retriever.options().parallel()) {
-    std::vector<std::size_t> needed;  // ascending: picked and extent_of ascend
-    std::uint64_t planned = std::numeric_limits<std::uint64_t>::max();
-    for (const std::uint64_t g : picked) {
-      const std::uint64_t b = g / kFrameBlock;
-      if (b == planned) continue;
-      planned = b;
-      const auto [lo_frame, hi_frame] = block_bounds(b);
-      QueryCache::Image hit;
-      if (cache_ != nullptr) {
-        hit = cache_->lookup_or_fill(logical_name, block_key(b, lo_frame, hi_frame),
-                                     block_generation, &block_guards[b]);
-      }
-      planned_blocks.emplace(b, hit);
-      if (hit != nullptr) continue;
-      for (std::uint64_t f = lo_frame; f < hi_frame; ++f) {
-        const std::size_t e = extent_of(f);
-        if (needed.empty() || needed.back() != e) needed.push_back(e);
-      }
+  // the same extents again.  Claims are taken in ascending block order, so
+  // two queries can never wait on each other's blocks in a cycle.  A missed
+  // block's fill needs every extent it overlaps.  Without the cache no block
+  // is assembled: only the extents holding the selected frames are read.
+  struct Block {
+    std::uint64_t lo = 0;  // first frame, clamped to the retention floor
+    std::uint64_t hi = 0;  // one past the last, clamped to the sealed prefix
+    std::string key;
+    QueryCache::Image image;
+    QueryCache::FillGuard claim;
+  };
+  std::map<std::uint64_t, Block> blocks;
+  std::vector<std::size_t> needed;  // ascending: blocks and frames ascend
+  const auto need = [&](std::uint64_t g) {
+    const std::size_t e = extent_of(g);
+    if (needed.empty() || needed.back() != e) needed.push_back(e);
+  };
+  for (const std::uint64_t g : picked) {
+    if (cache_ == nullptr) {
+      need(g);
+      continue;
     }
-    std::vector<DatasetLocation> want;
-    want.reserve(needed.size());
-    for (const std::size_t e : needed) want.push_back(locations[e]);
-    ADA_ASSIGN_OR_RETURN(auto images, retriever.retrieve_extents(want));
-    for (std::size_t k = 0; k < needed.size(); ++k) {
-      fetched.emplace(needed[k], std::move(images[k]));
+    const std::uint64_t b = g / kFrameBlock;
+    if (!blocks.empty() && blocks.rbegin()->first == b) continue;
+    Block& block = blocks[b];
+    block.lo = std::max(b * kFrameBlock, base_frame);
+    block.hi = std::min((b + 1) * kFrameBlock, total_frames);
+    block.key = block_key(tag, b, block.lo, block.hi);
+    {
+      const obs::TraceSpan lookup_trace("cache_lookup", tag);
+      block.image = cache_->lookup_or_fill(logical_name, block.key, block_generation, &block.claim);
+    }
+    if (block.image == nullptr) {
+      for (std::uint64_t f = block.lo; f < block.hi; ++f) need(f);
     }
   }
 
-  std::uint64_t current_block = std::numeric_limits<std::uint64_t>::max();
-  std::uint64_t current_lo = 0;          // first global frame of current block
-  QueryCache::Image cached;              // keeps a cache hit alive while sliced
-  std::vector<std::uint8_t> local;       // block assembled from extents
-  const std::vector<std::uint8_t>* block = nullptr;
-  for (const std::uint64_t g : picked) {
-    const std::uint64_t b = g / kFrameBlock;
-    if (b != current_block) {
-      current_block = b;
-      block = nullptr;
-      cached = nullptr;
-      const auto [lo_frame, hi_frame] = block_bounds(b);
-      current_lo = lo_frame;
-      const std::string key = block_key(b, lo_frame, hi_frame);
-      if (const auto planned = planned_blocks.find(b); planned != planned_blocks.end()) {
-        cached = planned->second;  // resolved once in the planning pass
-      } else if (cache_ != nullptr) {
-        cached = cache_->lookup_or_fill(logical_name, key, block_generation, &block_guards[b]);
-      }
-      if (cached != nullptr) {
-        block = cached.get();
-      } else {
-        local.clear();
-        local.reserve((hi_frame - lo_frame) * frame_bytes);
-        for (std::uint64_t f = lo_frame; f < hi_frame; ++f) {
-          const std::size_t e = extent_of(f);
-          auto it = fetched.find(e);
-          if (it == fetched.end()) {
-            // CRC-verified, retried extent read -- the only bytes that may
-            // land in the cache below.
-            ADA_ASSIGN_OR_RETURN(auto bytes, retriever.retrieve_extent(locations[e]));
-            it = fetched.emplace(e, std::move(bytes)).first;
-          }
-          // canonical_extent proved offset + frame_bytes <= extent length.
-          const std::uint64_t off = locations[e].frame_offsets[f - first_frame[e]];
-          const auto* frame = it->second.data() + off;
-          local.insert(local.end(), frame, frame + frame_bytes);
-        }
-        if (cache_ != nullptr) {
-          cache_->insert(logical_name, key, block_generation, local);
-        }
-        block = &local;
-      }
-      // This block's fill landed (or was a hit): release any waiters now
-      // rather than at function exit.
-      if (const auto claim = block_guards.find(b); claim != block_guards.end()) {
-        block_guards.erase(claim);
-      }
+  // Fetch: one read of every needed extent, serial or scatter-gather.
+  std::vector<std::vector<std::uint8_t>> images;
+  if (!needed.empty()) {
+    std::vector<DatasetLocation> wanted;
+    wanted.reserve(needed.size());
+    for (const std::size_t e : needed) wanted.push_back(locations[e]);
+    ADA_ASSIGN_OR_RETURN(images, fetch(wanted, tag));
+  }
+  std::vector<const std::uint8_t*> extent_data(locations.size(), nullptr);
+  for (std::size_t k = 0; k < needed.size(); ++k) extent_data[needed[k]] = images[k].data();
+  const auto frame_in_extent = [&](std::uint64_t g) {
+    const std::size_t e = extent_of(g);
+    // canonical_extent proved offset + frame_bytes <= extent length.
+    return extent_data[e] + locations[e].frame_offsets[g - first_frame[e]];
+  };
+
+  // Fill every missed block from the verified extents, releasing its claim
+  // as soon as its insert lands rather than at return.
+  for (auto& [b, block] : blocks) {
+    if (block.image != nullptr) continue;
+    std::vector<std::uint8_t> bytes;
+    bytes.reserve((block.hi - block.lo) * frame_bytes);
+    for (std::uint64_t f = block.lo; f < block.hi; ++f) {
+      const std::uint8_t* frame = frame_in_extent(f);
+      bytes.insert(bytes.end(), frame, frame + frame_bytes);
     }
-    const std::uint64_t off = (g - current_lo) * frame_bytes;
-    const auto* frame = block->data() + off;
+    const obs::TraceSpan fill_trace("cache_fill", tag);
+    block.image = cache_->insert(logical_name, block.key, block_generation, std::move(bytes));
+    block.claim.reset();
+  }
+
+  // Assemble one canonical RAW segment.
+  std::vector<std::uint8_t> out;
+  out.reserve(16 + picked.size() * frame_bytes);
+  append_raw_header(out, static_cast<std::uint32_t>((frame_bytes - 44) / 12),
+                    static_cast<std::uint32_t>(picked.size()));
+  for (const std::uint64_t g : picked) {
+    const std::uint8_t* frame = nullptr;
+    if (cache_ == nullptr) {
+      frame = frame_in_extent(g);
+    } else {
+      const Block& block = blocks.at(g / kFrameBlock);
+      frame = block.image->data() + (g - block.lo) * frame_bytes;
+    }
     out.insert(out.end(), frame, frame + frame_bytes);
   }
-  count_query_bytes(tag, out.size());
-  return out;
+  return Planned{nullptr, std::move(out)};
+}
+
+Result<std::vector<std::pair<Tag, Result<Ada::Planned>>>> Ada::read_every_tag(
+    const std::string& logical_name) const {
+  // Only an unreadable index is fatal: with no tag list there is nothing to
+  // serve or degrade to.
+  ADA_ASSIGN_OR_RETURN(const auto tag_list, tags(logical_name));
+  std::vector<std::pair<Tag, Result<Planned>>> plans;
+  plans.reserve(tag_list.size());
+  for (const Tag& tag : tag_list) plans.emplace_back(tag, internal_error("not executed"));
+  // With read_threads > 1 the per-tag plans run concurrently on the shared
+  // pool (each keeps its own extent-level fan-out; nested run_batch is
+  // deadlock-free because the caller participates).  Results stay in tag
+  // order either way.
+  std::vector<std::function<void()>> work;
+  work.reserve(plans.size());
+  for (auto& plan : plans) {
+    work.push_back([this, &logical_name, &plan] {
+      plan.second = read(logical_name, plan.first, nullptr);
+    });
+  }
+  parallel_run(std::move(work), std::max(1u, config_.read_threads));
+  return plans;
+}
+
+Result<std::vector<std::uint8_t>> Ada::query(const std::string& logical_name,
+                                             const Tag& tag) const {
+  ADA_ASSIGN_OR_RETURN(Planned planned, read(logical_name, tag, nullptr));
+  return std::move(planned).take();
+}
+
+Result<QueryCache::Image> Ada::query_image(const std::string& logical_name,
+                                           const Tag& tag) const {
+  ADA_ASSIGN_OR_RETURN(Planned planned, read(logical_name, tag, nullptr));
+  return std::move(planned).share();
+}
+
+Result<std::vector<std::uint8_t>> Ada::query(const std::string& logical_name, const Tag& tag,
+                                             const FrameRange& range) const {
+  const FrameSpan frames{range.begin, range.end, range.stride};
+  ADA_ASSIGN_OR_RETURN(Planned planned, read(logical_name, tag, &frames));
+  return std::move(planned).take();
 }
 
 Result<Ada::TailChunk> Ada::query_tail(const std::string& logical_name, const Tag& tag,
@@ -596,34 +570,26 @@ Result<Ada::TailChunk> Ada::query_tail(const std::string& logical_name, const Ta
   ADA_ASSIGN_OR_RETURN(const auto state, mount_.read_stream_state(logical_name));
   TailChunk chunk;
   chunk.from_frame = from_frame;
-  if (!state.has_value()) {
-    // Batch container: everything is already sealed.  Serve the remaining
-    // frames in one chunk; a second poll from the new position comes back
-    // empty and the caller stops.
-    ADA_ASSIGN_OR_RETURN(
-        chunk.image,
-        query(logical_name, tag, FrameRange{static_cast<std::uint32_t>(from_frame)}));
-    ADA_ASSIGN_OR_RETURN(const auto raw, formats::RawTrajReader::open(chunk.image));
-    chunk.frames = raw.frame_count();
-    chunk.sealed = true;
-    if (chunk.frames == 0) chunk.image.clear();
-    return chunk;
+  // A batch container (no stream state) is already sealed: the rest of it
+  // is one chunk, and a poll from past its end comes back empty.
+  chunk.sealed = !state.has_value() || state->sealed;
+  FrameSpan frames{from_frame};
+  if (state.has_value()) {
+    if (from_frame < state->floor_frames) {
+      return out_of_range("tail frame " + std::to_string(from_frame) +
+                          " is below the retention floor (" +
+                          std::to_string(state->floor_frames) + ")");
+    }
+    if (from_frame >= state->sealed_frames) return chunk;  // nothing new yet
+    // The watermark observed above bounds the read; a flush racing us only
+    // means the next poll has more to serve.
+    frames.end = state->sealed_frames;
   }
-  chunk.sealed = state->sealed;
-  if (from_frame < state->floor_frames) {
-    return out_of_range("tail frame " + std::to_string(from_frame) +
-                        " is below the retention floor (" +
-                        std::to_string(state->floor_frames) + ")");
-  }
-  if (from_frame >= state->sealed_frames) return chunk;  // nothing new yet
-  // The watermark observed above bounds the read; a flush racing us only
-  // means the next poll has more to serve.
-  ADA_ASSIGN_OR_RETURN(
-      chunk.image,
-      query(logical_name, tag,
-            FrameRange{static_cast<std::uint32_t>(from_frame),
-                       static_cast<std::uint32_t>(state->sealed_frames), 1}));
-  chunk.frames = state->sealed_frames - from_frame;
+  ADA_ASSIGN_OR_RETURN(Planned planned, read(logical_name, tag, &frames));
+  chunk.image = std::move(planned).take();
+  ADA_ASSIGN_OR_RETURN(const auto raw, formats::RawTrajReader::open(chunk.image));
+  chunk.frames = raw.frame_count();
+  if (chunk.frames == 0) chunk.image.clear();
   return chunk;
 }
 
@@ -645,27 +611,42 @@ Result<Ada::PartialQuery> Ada::query_degraded(const std::string& logical_name) c
   const obs::ScopedTimer span("query");
   const obs::TraceSpan trace("query_degraded", logical_name);
   ADA_OBS_COUNT("query.degraded.calls", 1);
-  // Only an unreadable index is fatal: with no tag list there is nothing to
-  // degrade to.
-  ADA_ASSIGN_OR_RETURN(const auto tag_list, tags(logical_name));
+  ADA_ASSIGN_OR_RETURN(auto plans, read_every_tag(logical_name));
   PartialQuery out;
-  for (const Tag& tag : tag_list) {
-    auto subset = query(logical_name, tag);
-    if (subset.is_ok()) {
-      out.subsets.emplace(tag, std::move(subset).value());
-    } else {
-      ADA_OBS_COUNT("query.degraded.failed_tags", 1);
-      obs::warn(obs::WarnSeverity::kWarn, "degraded-read",
-                logical_name + "/" + tag + ": " + subset.error().to_string());
-      out.failed.push_back(TagFailure{tag, subset.error()});
+  for (auto& [tag, plan] : plans) {
+    if (plan.is_ok()) {
+      out.subsets.emplace(tag, std::move(plan).value().take());
+      continue;
     }
+    ADA_OBS_COUNT("query.degraded.failed_tags", 1);
+    obs::warn(obs::WarnSeverity::kWarn, "degraded-read",
+              logical_name + "/" + tag + ": " + plan.error().to_string());
+    out.failed.push_back(TagFailure{tag, plan.error()});
   }
   if (out.partial()) ADA_OBS_COUNT("query.degraded.partial", 1);
   return out;
 }
 
+Result<std::vector<std::uint8_t>> Ada::query_all(const std::string& logical_name) const {
+  ADA_ASSIGN_OR_RETURN(const auto plans, read_every_tag(logical_name));
+  std::size_t total = 0;
+  for (const auto& [tag, plan] : plans) {
+    if (!plan.is_ok()) return plan.error();  // first failure in tag order wins
+    total += plan.value().bytes().size();
+  }
+  std::vector<std::uint8_t> out;
+  out.reserve(total);
+  for (const auto& [tag, plan] : plans) {
+    const auto bytes = plan.value().bytes();
+    out.insert(out.end(), bytes.begin(), bytes.end());
+  }
+  return out;
+}
+
 Result<LabelMap> Ada::labels(const std::string& logical_name) const {
-  ADA_ASSIGN_OR_RETURN(const auto bytes, IoRetriever(mount_).retrieve(logical_name, kLabelFileTag));
+  ADA_ASSIGN_OR_RETURN(const auto locations, Indexer(mount_).locate(logical_name, kLabelFileTag));
+  ADA_ASSIGN_OR_RETURN(auto extents, IoRetriever(mount_).fetch(locations));
+  const auto bytes = concat(std::move(extents));
   return decode_label_file(std::string(bytes.begin(), bytes.end()));
 }
 

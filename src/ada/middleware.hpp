@@ -83,10 +83,11 @@ struct AdaConfig {
   bool frame_tables = true;
 
   /// Concurrent extent reads per query (scatter-gather retrieval,
-  /// docs/performance.md).  0 (the default) or 1 keeps the serial read path
-  /// byte-identical to pre-scatter-gather behavior; N > 1 fans per-extent
+  /// docs/performance.md).  0 (the default) or 1 fetches a query's planned
+  /// extents one at a time on the calling thread; N > 1 fans per-extent
   /// read + CRC-verify tasks onto the shared thread pool, assembled in
-  /// logical order.
+  /// logical order, and runs the per-tag plans of query_all() and
+  /// query_degraded() concurrently.  The bytes served are the same.
   unsigned read_threads = 0;
 
   /// Per-backend admission window for parallel reads: at most this many
@@ -110,6 +111,11 @@ struct FrameRange {
   std::uint32_t end = std::numeric_limits<std::uint32_t>::max();  // exclusive
   std::uint32_t stride = 1;
 };
+
+/// The read planner's frame selection: FrameRange widened to 64-bit frame
+/// numbers, so a tail cursor past 2^32 frames keeps its value (defined in
+/// middleware.cpp).
+struct FrameSpan;
 
 /// What ingest() did (sizes feed the performance model and the benches).
 struct IngestReport {
@@ -161,6 +167,12 @@ class Ada {
   /// Read-path query: the decompressed RAW subset image for `tag`
   /// ($ mol addfile /mnt/bar.xtc tag p).
   Result<std::vector<std::uint8_t>> query(const std::string& logical_name, const Tag& tag) const;
+
+  /// Every user subset of a dataset concatenated in tag order (the ADA(all)
+  /// retrieval the paper benchmarks; the VFS untagged read).  Fails with the
+  /// first lost tag's error in tag order -- query_degraded() is the variant
+  /// that serves survivors.
+  Result<std::vector<std::uint8_t>> query_all(const std::string& logical_name) const;
 
   /// query(), but returning the refcounted cache image instead of a copy:
   /// N concurrent holders of the same subset share one allocation (the
@@ -253,10 +265,45 @@ class Ada {
   /// query.bytes_out accounting (total + per-tag cached counter handles).
   void count_query_bytes(const Tag& tag, std::size_t bytes) const;
 
-  /// Scatter-gather knobs for this middleware's retrievers.
-  RetrieveOptions retrieve_options() const noexcept {
-    return RetrieveOptions{config_.read_threads, config_.read_queue_depth};
-  }
+  /// What the read planner hands back: a shared image (cache-resident) or
+  /// bytes this call alone owns (a fresh uncached read).  Entry points that
+  /// return a std::vector move owned bytes out and copy only shared ones.
+  struct Planned {
+    QueryCache::Image shared;
+    std::vector<std::uint8_t> owned;
+
+    std::span<const std::uint8_t> bytes() const {
+      return shared != nullptr ? std::span<const std::uint8_t>(*shared) : owned;
+    }
+    std::vector<std::uint8_t> take() && {
+      if (shared != nullptr) return *shared;
+      return std::move(owned);
+    }
+    QueryCache::Image share() && {
+      if (shared != nullptr) return std::move(shared);
+      return std::make_shared<const std::vector<std::uint8_t>>(std::move(owned));
+    }
+  };
+
+  /// The read planner behind every query entry point: locate -> plan extent
+  /// and block reads -> fetch (serial, or scatter-gather when read_threads
+  /// > 1) -> verify -> assemble.  `frames` null reads the whole subset (the
+  /// stored extents verbatim, cached as one entry under the mutation
+  /// generation); otherwise one canonical RAW segment of the selected frames
+  /// (cached as 32-frame blocks under the rewrite generation).
+  Result<Planned> read(const std::string& logical_name, const Tag& tag,
+                       const FrameSpan* frames) const;
+  Result<Planned> read_subset(const std::string& logical_name, const Tag& tag,
+                              const std::vector<DatasetLocation>* located) const;
+  Result<Planned> read_frames(const std::string& logical_name, const Tag& tag,
+                              const FrameSpan& frames) const;
+  /// The planner's fetch stage: located extents as separate verified images.
+  Result<std::vector<std::vector<std::uint8_t>>> fetch(std::span<const DatasetLocation> locations,
+                                                       const Tag& tag) const;
+  /// read() for every user tag, in tag order, each with its own outcome;
+  /// only an unreadable tag list fails the whole call.
+  Result<std::vector<std::pair<Tag, Result<Planned>>>> read_every_tag(
+      const std::string& logical_name) const;
 
   plfs::PlfsMount mount_;
   AdaConfig config_;

@@ -1,11 +1,9 @@
 #include "ada/vfs.hpp"
 
 #include <filesystem>
-#include <functional>
 
 #include "common/binary_io.hpp"
 #include "common/strings.hpp"
-#include "common/thread_pool.hpp"
 #include "formats/pdb.hpp"
 
 namespace ada::core {
@@ -83,48 +81,8 @@ Result<std::vector<std::uint8_t>> VfsShim::read(const std::string& path,
       return frames.has_value() ? ada_->query(logical, *tag, *frames)
                                 : ada_->query(logical, *tag);
     }
-    // Untagged read of an ADA dataset: every user subset, in tag order (the
-    // ADA(all) retrieval the paper benchmarks).  Pre-size via the indexer so
-    // the concatenation never reallocates mid-copy (the same fix
-    // Ada::PartialQuery::concat applies).
-    ADA_ASSIGN_OR_RETURN(const auto tags, ada_->tags(logical));
-    std::uint64_t total = 0;
-    for (const Tag& t : tags) {
-      ADA_ASSIGN_OR_RETURN(const auto bytes, ada_->subset_bytes(logical, t));
-      total += bytes;
-    }
-    const unsigned fan = ada_->config().read_threads;
-    if (fan > 1 && tags.size() > 1) {
-      // Scatter-gather whole-dataset read: per-tag queries fan onto the
-      // shared pool (each one keeps its own extent-level budget -- nested
-      // run_batch is deadlock-free because the caller participates), then
-      // concatenate in tag order, byte-identical to the serial loop.  The
-      // first failure in tag order wins, as it would serially.
-      std::vector<Result<std::vector<std::uint8_t>>> subsets(
-          tags.size(), Result<std::vector<std::uint8_t>>(internal_error("not executed")));
-      std::vector<std::function<void()>> work;
-      work.reserve(tags.size());
-      for (std::size_t i = 0; i < tags.size(); ++i) {
-        work.push_back([this, &logical, &tags, &subsets, i] {
-          subsets[i] = ada_->query(logical, tags[i]);
-        });
-      }
-      ThreadPool::shared().run_batch(std::move(work), fan);
-      std::vector<std::uint8_t> out;
-      out.reserve(total);
-      for (auto& subset : subsets) {
-        if (!subset.is_ok()) return subset.error();
-        out.insert(out.end(), subset.value().begin(), subset.value().end());
-      }
-      return out;
-    }
-    std::vector<std::uint8_t> out;
-    out.reserve(total);
-    for (const Tag& t : tags) {
-      ADA_ASSIGN_OR_RETURN(const auto subset, ada_->query(logical, t));
-      out.insert(out.end(), subset.begin(), subset.end());
-    }
-    return out;
+    // Untagged read of an ADA dataset: every user subset, in tag order.
+    return ada_->query_all(logical);
   }
   if (tag.has_value()) {
     return failed_precondition("tagged read of a non-ADA path: " + path);

@@ -73,8 +73,6 @@ Status write_dropping_bytes(const std::string& path, std::span<const std::uint8_
   return write_file(path, bytes);
 }
 
-}  // namespace
-
 /// Read one dropping file under the read_dropping fault site.  A corrupt
 /// outcome flips one byte of the returned buffer (simulated media error);
 /// checksum verification downstream must catch it.
@@ -93,17 +91,6 @@ Result<std::vector<std::uint8_t>> read_dropping_file(const std::string& path) {
   return data;
 }
 
-namespace {
-/// Checksum-verify one extent slice against its index record.
-Status verify_extent_checksum(const IndexRecord& record,
-                              std::span<const std::uint8_t> slice) {
-  if (!record.has_checksum()) return Status::ok();  // v1 record: nothing stored
-  const std::uint32_t actual = crc32c(slice.data(), slice.size());
-  if (actual == record.crc32c) return Status::ok();
-  ADA_OBS_COUNT("plfs.crc_mismatch", 1);
-  return corrupt_data("checksum mismatch on " + record.dropping + ": stored " +
-                      std::to_string(record.crc32c) + ", computed " + std::to_string(actual));
-}
 }  // namespace
 
 Result<PlfsMount> PlfsMount::open(std::vector<Backend> backends) {
@@ -265,20 +252,53 @@ Result<IndexRecord> PlfsMount::append(const std::string& logical_name, const std
   return record;
 }
 
-Result<std::vector<std::uint8_t>> PlfsMount::read_extent(const std::string& logical_name,
-                                                         const IndexRecord& record) const {
-  const std::string path = container_dir(record.backend, logical_name) + "/" + record.dropping;
-  ADA_ASSIGN_OR_RETURN(
-      const auto dropping,
-      retry_sync("plfs_read_dropping", retry_policy_, [&] { return read_dropping_file(path); }));
-  if (dropping.size() < record.physical_offset + record.length) {
-    return corrupt_data("dropping " + record.dropping + " shorter than its index record");
+Result<std::vector<std::uint8_t>> PlfsMount::read_extent(const std::string& host_path,
+                                                         std::uint64_t offset,
+                                                         std::uint64_t length,
+                                                         const std::uint32_t* crc32c) const {
+  ADA_ASSIGN_OR_RETURN(auto dropping, retry_sync("plfs_read_dropping", retry_policy_, [&] {
+                         return read_dropping_file(host_path);
+                       }));
+  // Offset and length come from the on-disk index: compare without letting
+  // offset + length wrap.
+  if (offset > dropping.size() || length > dropping.size() - offset) {
+    return corrupt_data("dropping " + host_path + " shorter than its index record");
   }
-  std::vector<std::uint8_t> slice(
-      dropping.begin() + static_cast<std::ptrdiff_t>(record.physical_offset),
-      dropping.begin() + static_cast<std::ptrdiff_t>(record.physical_offset + record.length));
-  ADA_RETURN_IF_ERROR(verify_extent_checksum(record, slice));
-  return slice;
+  const std::span<const std::uint8_t> extent(dropping.data() + offset, length);
+  if (crc32c != nullptr) {
+    const std::uint32_t actual = ada::crc32c(extent.data(), extent.size());
+    if (actual != *crc32c) {
+      ADA_OBS_COUNT("plfs.crc_mismatch", 1);
+      return corrupt_data("checksum mismatch on " + host_path + ": stored " +
+                          std::to_string(*crc32c) + ", computed " + std::to_string(actual));
+    }
+  }
+  ADA_OBS_COUNT("plfs.read.calls", 1);
+  ADA_OBS_COUNT("plfs.read.bytes", length);
+  obs::trace_counter("plfs.read.bytes", length);
+  if (extent.size() == dropping.size()) return dropping;
+  return std::vector<std::uint8_t>(extent.begin(), extent.end());
+}
+
+Result<std::vector<std::uint8_t>> PlfsMount::read_records(const std::string& logical_name,
+                                                          std::vector<IndexRecord> records) const {
+  std::sort(records.begin(), records.end(),
+            [](const IndexRecord& a, const IndexRecord& b) {
+              return a.logical_offset < b.logical_offset;
+            });
+  std::uint64_t total = 0;
+  for (const IndexRecord& record : records) total += record.length;
+  std::vector<std::uint8_t> out;
+  out.reserve(total);
+  for (const IndexRecord& record : records) {
+    ADA_ASSIGN_OR_RETURN(
+        const auto extent,
+        read_extent(dropping_host_path(record.backend, logical_name, record.dropping),
+                    record.physical_offset, record.length,
+                    record.has_checksum() ? &record.crc32c : nullptr));
+    out.insert(out.end(), extent.begin(), extent.end());
+  }
+  return out;
 }
 
 Result<std::vector<std::uint8_t>> PlfsMount::read_logical(const std::string& logical_name) const {
@@ -288,19 +308,7 @@ Result<std::vector<std::uint8_t>> PlfsMount::read_logical(const std::string& log
   if (!is_complete(records)) {
     return corrupt_data("container " + logical_name + " has holes or overlapping extents");
   }
-  std::sort(records.begin(), records.end(),
-            [](const IndexRecord& a, const IndexRecord& b) {
-              return a.logical_offset < b.logical_offset;
-            });
-  std::vector<std::uint8_t> out;
-  out.reserve(logical_size(records));
-  for (const IndexRecord& record : records) {
-    ADA_ASSIGN_OR_RETURN(const auto slice, read_extent(logical_name, record));
-    out.insert(out.end(), slice.begin(), slice.end());
-  }
-  ADA_OBS_COUNT("plfs.read.calls", 1);
-  ADA_OBS_COUNT("plfs.read.bytes", out.size());
-  return out;
+  return read_records(logical_name, std::move(records));
 }
 
 Result<std::vector<std::uint8_t>> PlfsMount::read_label(const std::string& logical_name,
@@ -309,18 +317,7 @@ Result<std::vector<std::uint8_t>> PlfsMount::read_label(const std::string& logic
   const obs::TraceSpan trace("plfs_read", label);
   ADA_ASSIGN_OR_RETURN(auto records, read_index(logical_name));
   std::erase_if(records, [&](const IndexRecord& r) { return r.label != label; });
-  std::sort(records.begin(), records.end(),
-            [](const IndexRecord& a, const IndexRecord& b) {
-              return a.logical_offset < b.logical_offset;
-            });
-  std::vector<std::uint8_t> out;
-  for (const IndexRecord& record : records) {
-    ADA_ASSIGN_OR_RETURN(const auto slice, read_extent(logical_name, record));
-    out.insert(out.end(), slice.begin(), slice.end());
-  }
-  ADA_OBS_COUNT("plfs.read.calls", 1);
-  ADA_OBS_COUNT("plfs.read.bytes", out.size());
-  return out;
+  return read_records(logical_name, std::move(records));
 }
 
 Result<std::uint64_t> PlfsMount::label_size(const std::string& logical_name,

@@ -33,12 +33,6 @@ struct Backend {
   std::string host_root;  // host directory that stands in for the mount point
 };
 
-/// Fault-aware read of one dropping file by host path: evaluates the
-/// "plfs.read_dropping" injection site (errors, latency, simulated media
-/// corruption) before/after the real read.  Shared by PlfsMount and the ADA
-/// I/O retriever so both read paths see the same faults.
-Result<std::vector<std::uint8_t>> read_dropping_file(const std::string& host_path);
-
 class PlfsMount {
  public:
   /// Validate backends and create their root directories.
@@ -74,6 +68,17 @@ class PlfsMount {
                              const std::vector<std::uint64_t>* frame_offsets = nullptr,
                              const std::uint64_t* frame_base = nullptr,
                              std::uint32_t frame_count = 0);
+
+  /// The one extent reader: read the dropping file at `host_path` under the
+  /// "plfs.read_dropping" fault site and the mount's retry policy, slice out
+  /// [offset, offset + length) and verify it against `crc32c` (null for
+  /// legacy v1 records, which store none).  A short dropping or a checksum
+  /// mismatch is kCorruptData, never silently served bytes.  When the extent
+  /// is the whole file, the buffer read is returned without a copy.  Counts
+  /// plfs.read.calls / plfs.read.bytes per extent.
+  Result<std::vector<std::uint8_t>> read_extent(const std::string& host_path,
+                                                std::uint64_t offset, std::uint64_t length,
+                                                const std::uint32_t* crc32c) const;
 
   /// Full logical file content, reassembled across backends in logical order.
   Result<std::vector<std::uint8_t>> read_logical(const std::string& logical_name) const;
@@ -164,9 +169,9 @@ class PlfsMount {
   void bump_generation(const std::string& logical_name) const;
   void bump_rewrite_generation(const std::string& logical_name) const;
 
-  /// One extent's bytes, retried and checksum-verified.
-  Result<std::vector<std::uint8_t>> read_extent(const std::string& logical_name,
-                                                const IndexRecord& record) const;
+  /// The extents of `records`, concatenated in logical order.
+  Result<std::vector<std::uint8_t>> read_records(const std::string& logical_name,
+                                                 std::vector<IndexRecord> records) const;
 
   std::vector<Backend> backends_;
   RetryPolicy retry_policy_;

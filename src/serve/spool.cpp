@@ -51,8 +51,11 @@ ErrorCode code_from_name(const std::string& name) {
   return ErrorCode::kInternal;
 }
 
-Result<std::uint64_t> parse_u64(const std::string& text, const char* field) {
-  std::uint64_t value = 0;
+// Decimal field of width T; a value that does not fit T (a begin past
+// UINT32_MAX, say) is rejected, never truncated.
+template <typename T>
+Result<T> parse_uint(const std::string& text, const char* field) {
+  T value = 0;
   const auto [ptr, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
   if (ec != std::errc() || ptr != text.data() + text.size()) {
     return invalid_argument(std::string("spool: bad ") + field + " value '" + text + "'");
@@ -113,16 +116,13 @@ Result<Request> parse_spool_request(const std::string& text) {
     } else if (key == "kind") {
       ADA_ASSIGN_OR_RETURN(request.kind, kind_from_name(value));
     } else if (key == "begin") {
-      ADA_ASSIGN_OR_RETURN(const auto v, parse_u64(value, "begin"));
-      request.range.begin = static_cast<std::uint32_t>(v);
+      ADA_ASSIGN_OR_RETURN(request.range.begin, parse_uint<std::uint32_t>(value, "begin"));
     } else if (key == "end") {
-      ADA_ASSIGN_OR_RETURN(const auto v, parse_u64(value, "end"));
-      request.range.end = static_cast<std::uint32_t>(v);
+      ADA_ASSIGN_OR_RETURN(request.range.end, parse_uint<std::uint32_t>(value, "end"));
     } else if (key == "stride") {
-      ADA_ASSIGN_OR_RETURN(const auto v, parse_u64(value, "stride"));
-      request.range.stride = static_cast<std::uint32_t>(v);
+      ADA_ASSIGN_OR_RETURN(request.range.stride, parse_uint<std::uint32_t>(value, "stride"));
     } else if (key == "from") {
-      ADA_ASSIGN_OR_RETURN(request.from_frame, parse_u64(value, "from"));
+      ADA_ASSIGN_OR_RETURN(request.from_frame, parse_uint<std::uint64_t>(value, "from"));
     } else {
       return corrupt_data("spool: unknown request field '" + key + "'");
     }
@@ -167,7 +167,8 @@ Result<SpoolReply> SpoolClient::call(const Request& request, double timeout_s, d
     for (std::uint64_t* slot : slots) {
       std::size_t space = fields.find(' ', start);
       if (space == std::string::npos) space = fields.size();
-      ADA_ASSIGN_OR_RETURN(*slot, parse_u64(fields.substr(start, space - start), "verdict"));
+      ADA_ASSIGN_OR_RETURN(
+          *slot, parse_uint<std::uint64_t>(fields.substr(start, space - start), "verdict"));
       start = space + 1;
     }
     reply.coalesced = coalesced != 0;

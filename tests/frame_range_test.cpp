@@ -80,12 +80,14 @@ class FrameRangeTest : public testing::Test {
   }
 
   std::unique_ptr<Ada> open_ada(const std::string& subdir, bool frame_tables,
-                                std::uint64_t cache_bytes, bool overwrite = false) {
+                                std::uint64_t cache_bytes, bool overwrite = false,
+                                unsigned read_threads = 0) {
     AdaConfig config;
     config.placement = PlacementPolicy::active_on_ssd(0, 1);
     config.frame_tables = frame_tables;
     config.cache_bytes = cache_bytes;
     config.overwrite = overwrite;
+    config.read_threads = read_threads;
     const std::string base = root_ + "/" + subdir;
     return std::make_unique<Ada>(
         plfs::PlfsMount::open({{"ssd", base + "/ssd"}, {"hdd", base + "/hdd"}}).value(), config);
@@ -144,22 +146,26 @@ constexpr std::uint64_t kPlentyOfCache = 64u << 20;
 
 // --- differential property: batch ingest (one extent per tag) ------------------
 
+// Axes: codec version, frame tables (fast path vs fallback), cache budget
+// (block cache vs direct extent reads), and read_threads (serial fetch vs
+// scatter-gather; the 0 axis keeps the suite's original test names).
 class FrameRangeMatrixTest
     : public FrameRangeTest,
-      public testing::WithParamInterface<std::tuple<codec::CodecVersion, bool, std::uint64_t>> {};
+      public testing::WithParamInterface<
+          std::tuple<codec::CodecVersion, bool, std::uint64_t, unsigned>> {};
 
 TEST_P(FrameRangeMatrixTest, BatchIngestMatchesReferenceSlice) {
-  const auto [version, tables, cache_bytes] = GetParam();
-  auto ada = open_ada("batch", tables, cache_bytes);
+  const auto [version, tables, cache_bytes, read_threads] = GetParam();
+  auto ada = open_ada("batch", tables, cache_bytes, /*overwrite=*/false, read_threads);
   constexpr std::uint32_t kFrames = 24;
   ASSERT_TRUE(ada->ingest(system_, make_xtc(kFrames, version), "bar.xtc").is_ok());
   check_differential(*ada, "bar.xtc", kFrames);
 }
 
 TEST_P(FrameRangeMatrixTest, StreamedIngestMatchesReferenceSlice) {
-  const auto [version, tables, cache_bytes] = GetParam();
+  const auto [version, tables, cache_bytes, read_threads] = GetParam();
   (void)version;  // streams ingest decoded frames; codec version is moot
-  auto ada = open_ada("stream", tables, cache_bytes);
+  auto ada = open_ada("stream", tables, cache_bytes, /*overwrite=*/false, read_threads);
   const LabelMap labels = categorize_protein_misc(system_);
   // chunk_frames=5 and 23 frames: extents of 5,5,5,5,3 per tag, so range
   // blocks span extent boundaries.
@@ -180,11 +186,13 @@ TEST_P(FrameRangeMatrixTest, StreamedIngestMatchesReferenceSlice) {
 INSTANTIATE_TEST_SUITE_P(
     Matrix, FrameRangeMatrixTest,
     testing::Combine(testing::Values(codec::CodecVersion::kV1, codec::CodecVersion::kV2),
-                     testing::Bool(), testing::Values(std::uint64_t{0}, kPlentyOfCache)),
+                     testing::Bool(), testing::Values(std::uint64_t{0}, kPlentyOfCache),
+                     testing::Values(0u, 4u)),
     [](const auto& info) {
       return std::string(std::get<0>(info.param) == codec::CodecVersion::kV1 ? "v1" : "v2") +
              (std::get<1>(info.param) ? "_tables" : "_notables") +
-             (std::get<2>(info.param) != 0 ? "_cached" : "_uncached");
+             (std::get<2>(info.param) != 0 ? "_cached" : "_uncached") +
+             (std::get<3>(info.param) != 0 ? "_sg4" : "");
     });
 
 // --- fast path / fallback wiring ------------------------------------------------

@@ -26,6 +26,7 @@
 #include "ada/indexer.hpp"
 #include "ada/ingest_stream.hpp"
 #include "ada/middleware.hpp"
+#include "ada/vfs.hpp"
 #include "common/admission.hpp"
 #include "common/faults.hpp"
 #include "plfs/plfs.hpp"
@@ -345,6 +346,45 @@ class ServeTest : public testing::Test {
   std::vector<core::Tag> tags_;
   std::map<core::Tag, std::vector<std::uint8_t>> reference_;
 };
+
+// --- one planner: every whole-subset entry point serves the same bytes ---------------
+
+TEST_F(ServeTest, EveryWholeSubsetEntryPointIsByteIdentical) {
+  // query, query_image, the VFS untagged read, query_degraded and a served
+  // kSubset all run the same read plan: across cache on/off and serial vs
+  // scatter-gather fetches they must agree byte for byte with the serial
+  // uncached reference.
+  std::vector<std::uint8_t> all;
+  for (const core::Tag& tag : tags_) {
+    all.insert(all.end(), reference_.at(tag).begin(), reference_.at(tag).end());
+  }
+  for (const std::uint64_t cache_bytes : {std::uint64_t{0}, std::uint64_t{64} << 20}) {
+    for (const unsigned read_threads : {0u, 4u}) {
+      const std::string config = "cache " + std::to_string(cache_bytes) + " read_threads " +
+                                 std::to_string(read_threads);
+      auto ada = open_ada(read_threads, /*queue_depth=*/2, cache_bytes);
+      AdaService service(*ada, ServeConfig{});
+      core::VfsShim shim(*ada, root_ + "/host_" + std::to_string(cache_bytes) + "_" +
+                                   std::to_string(read_threads));
+      for (int round = 0; round < 2; ++round) {  // round 1 hits a warm cache
+        for (const core::Tag& tag : tags_) {
+          const auto& want = reference_.at(tag);
+          EXPECT_EQ(ada->query("traj.xtc", tag).value(), want) << config << " query " << tag;
+          EXPECT_EQ(*ada->query_image("traj.xtc", tag).value(), want)
+              << config << " query_image " << tag;
+          const auto served = service.execute(subset_request(tag));
+          ASSERT_TRUE(served.is_ok()) << served.error().to_string();
+          EXPECT_EQ(*served.value().image, want) << config << " served kSubset " << tag;
+        }
+        EXPECT_EQ(shim.read("traj.xtc", "vmd").value(), all) << config << " VFS untagged";
+        const auto partial = ada->query_degraded("traj.xtc").value();
+        EXPECT_FALSE(partial.partial()) << config;
+        EXPECT_EQ(partial.concat(), all) << config << " query_degraded";
+      }
+      service.stop();
+    }
+  }
+}
 
 // --- query_image: the shareable read path --------------------------------------------
 
@@ -760,6 +800,24 @@ TEST(SpoolProtocolTest, RejectsMalformedRequestsTyped) {
   const auto nameless = parse_spool_request("tag=p\nkind=subset\n");
   ASSERT_FALSE(nameless.is_ok());
   EXPECT_EQ(nameless.error().code(), ErrorCode::kInvalidArgument);
+}
+
+TEST(SpoolProtocolTest, RejectsRangeFieldsPastUint32Max) {
+  // Regression: begin/end/stride were parsed as u64 and silently truncated,
+  // so begin=4294967296 served from frame 0.
+  for (const char* field : {"begin", "end", "stride"}) {
+    const auto parsed = parse_spool_request(std::string("name=bar.xtc\ntag=p\nkind=range\n") +
+                                            field + "=4294967296\n");
+    ASSERT_FALSE(parsed.is_ok()) << field;
+    EXPECT_EQ(parsed.error().code(), ErrorCode::kInvalidArgument) << field;
+  }
+  const auto widest = parse_spool_request("name=bar.xtc\nkind=range\nend=4294967295\n");
+  ASSERT_TRUE(widest.is_ok()) << widest.error().to_string();
+  EXPECT_EQ(widest.value().range.end, 4294967295u);
+  // The tail cursor is 64-bit end to end.
+  const auto tail = parse_spool_request("name=bar.xtc\nkind=tail\nfrom=4294967299\n");
+  ASSERT_TRUE(tail.is_ok()) << tail.error().to_string();
+  EXPECT_EQ(tail.value().from_frame, 4294967299u);
 }
 
 TEST_F(ServeTest, SpoolRoundTripServesBytesIdenticalToDirectQuery) {

@@ -342,6 +342,65 @@ TEST_F(StreamingTailTest, TailQueryOnBatchContainerIsOneSealedChunk) {
   EXPECT_TRUE(done.image.empty());
 }
 
+TEST_F(StreamingTailTest, TailCursorPastTwoToTheThirtyTwoIsAnEmptySealedChunk) {
+  // Regression: the batch tail narrowed its 64-bit cursor to 32 bits, so a
+  // cursor of 2^32 + 3 served frames 3.. labelled as frame 2^32 + 3.
+  auto ada = open_ada("batch64");
+  const auto frames = make_frames(5);
+  formats::XtcWriter xtc_writer;
+  for (std::uint32_t f = 0; f < 5; ++f) {
+    ASSERT_TRUE(xtc_writer
+                    .add_frame(frames.steps[f], frames.times[f], system_.box(),
+                               frames.coords[f])
+                    .is_ok());
+  }
+  ASSERT_TRUE(ada->ingest(system_, xtc_writer.take(), "bar.xtc").is_ok());
+
+  const std::uint64_t cursor = (std::uint64_t{1} << 32) + 3;
+  const auto chunk = ada->query_tail("bar.xtc", kProteinTag, cursor);
+  ASSERT_TRUE(chunk.is_ok()) << chunk.error().to_string();
+  EXPECT_TRUE(chunk.value().sealed);
+  EXPECT_EQ(chunk.value().from_frame, cursor);
+  EXPECT_EQ(chunk.value().frames, 0u);
+  EXPECT_TRUE(chunk.value().image.empty());
+}
+
+TEST_F(StreamingTailTest, UncachedTailAndRangeReadOnlyTheExtentHoldingTheFrames) {
+  // With the cache off nothing is assembled into 32-frame blocks: a read of
+  // frames [24, 32) of a chunk-8 stream touches exactly the one extent that
+  // holds them, and the plfs.read.* counters see that read.
+  auto writer = open_ada("amount");
+  const auto frames = make_frames(32);
+  auto stream = writer->begin_stream(labels_, "live.xtc", /*chunk_frames=*/8);
+  ASSERT_TRUE(stream.is_ok());
+  for (std::uint32_t f = 0; f < 32; ++f) ASSERT_TRUE(push(stream.value(), frames, f).is_ok());
+  ASSERT_TRUE(stream.value().finish().is_ok());
+
+  auto reader = open_ada("amount");
+  const auto locations = Indexer(reader->mount()).locate("live.xtc", kProteinTag).value();
+  ASSERT_EQ(locations.size(), 4u);
+  ASSERT_EQ(locations[3].frame_base, 24u);
+  const std::uint64_t extent_bytes = locations[3].bytes;
+
+  obs::set_enabled(true);
+  const auto expect_one_extent = [&](const char* what) {
+    EXPECT_EQ(obs::Registry::global().counter_value("plfs.read.calls"), 1u) << what;
+    EXPECT_EQ(obs::Registry::global().counter_value("plfs.read.bytes"), extent_bytes) << what;
+    obs::reset_all();
+  };
+  obs::reset_all();
+  const auto tail = reader->query_tail("live.xtc", kProteinTag, 24);
+  ASSERT_TRUE(tail.is_ok()) << tail.error().to_string();
+  EXPECT_EQ(tail.value().frames, 8u);
+  expect_one_extent("query_tail(from=24)");
+
+  const auto range = reader->query("live.xtc", kProteinTag, FrameRange{24, 32, 1});
+  ASSERT_TRUE(range.is_ok()) << range.error().to_string();
+  EXPECT_EQ(range.value(), tail.value().image);
+  expect_one_extent("query(FrameRange{24, 32})");
+  obs::set_enabled(false);
+}
+
 // --- cache: the flush fence regression -----------------------------------------------
 
 // Before this PR a chunk flush invalidated every cached entry of the

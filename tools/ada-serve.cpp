@@ -44,6 +44,13 @@ constexpr const char* kUsage =
 int main(int argc, char** argv) {
   const tools::Args args(argc, argv);
   if (!args.has("ssd") || !args.has("hdd") || !args.has("spool")) tools::die_usage(kUsage);
+  // Clients drop requests into the spool: serving a missing one would leave
+  // them failing on an opaque "cannot create ...req.tmp" while this idles.
+  if (!std::filesystem::is_directory(args.get("spool"))) {
+    std::fprintf(stderr, "error: --spool %s is not an existing directory\n",
+                 args.get("spool").c_str());
+    return 1;
+  }
   tools::metrics_begin(args);
   std::FILE* report_out = tools::metrics_json_only(args) ? stderr : stdout;
 

@@ -247,6 +247,16 @@ for bad_flags in "--poll-ms 0" "--poll-ms -5" "--timeout-s 0" "--timeout-s -1"; 
 done
 
 echo "== serve smoke: ada-serve + concurrent spool clients byte-identical =="
+# A missing --spool directory is refused at startup with a clear message.
+set +e
+SPOOL_ERR="$("$BUILD_DIR/tools/ada-serve" --ssd "$WORK/ssd" --hdd "$WORK/hdd" \
+    --spool "$WORK/no_such_spool" --idle-timeout-s 1 2>&1 >/dev/null)"
+SPOOL_EXIT=$?
+set -e
+[ "$SPOOL_EXIT" -ne 0 ] && echo "$SPOOL_ERR" | grep -q 'not an existing directory' || {
+    echo "FAIL: ada-serve should refuse a missing --spool (exit $SPOOL_EXIT: $SPOOL_ERR)" >&2
+    exit 1
+}
 # Start the service over the batch dataset, fan three tenants' clients at it
 # concurrently, and byte-compare every served subset against the direct
 # query from the tracing smoke above.
