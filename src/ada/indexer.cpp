@@ -51,6 +51,10 @@ Result<std::vector<DatasetLocation>> Indexer::locate(const std::string& logical_
     location.has_frame_base = record.has_frame_base();
     location.frame_base = record.frame_base;
     location.frame_count = record.frame_count;
+    if (record.has_block_checksums()) {
+      location.block_bounds = plfs::block_bounds(location.frame_offsets, record.length);
+      location.block_crcs = std::move(record.block_crcs);
+    }
     out.push_back(std::move(location));
   }
   return out;
@@ -67,36 +71,62 @@ Result<std::vector<Tag>> Indexer::tags(const std::string& logical_name) const {
   return out;
 }
 
+Result<std::vector<std::uint8_t>> IoRetriever::read(const DatasetLocation& location,
+                                                    const ExtentRead& read) const {
+  if (read.whole()) {
+    const std::uint64_t bounds[] = {location.physical_offset,
+                                    location.physical_offset + location.bytes};
+    return mount_.read_extent(location.host_path, bounds,
+                              location.has_crc ? std::span(&location.crc32c, 1)
+                                               : std::span<const std::uint32_t>());
+  }
+  std::vector<std::uint64_t> bounds;
+  bounds.reserve(read.end_block - read.first_block + 1);
+  for (std::size_t k = read.first_block; k <= read.end_block; ++k) {
+    bounds.push_back(location.physical_offset + location.block_bounds[k]);
+  }
+  return mount_.read_extent(
+      location.host_path, bounds,
+      std::span(location.block_crcs).subspan(read.first_block, read.end_block - read.first_block));
+}
+
 Result<std::vector<std::vector<std::uint8_t>>> IoRetriever::fetch(
     std::span<const DatasetLocation> locations) const {
+  std::vector<ExtentRead> reads(locations.size());
+  for (std::size_t i = 0; i < reads.size(); ++i) reads[i].location = i;
+  return fetch(locations, reads);
+}
+
+Result<std::vector<std::vector<std::uint8_t>>> IoRetriever::fetch(
+    std::span<const DatasetLocation> locations, std::span<const ExtentRead> reads) const {
   std::vector<std::vector<std::uint8_t>> out;
-  out.reserve(locations.size());
-  if (!options_.parallel() || locations.size() <= 1) {
-    for (const DatasetLocation& location : locations) {
-      ADA_ASSIGN_OR_RETURN(auto extent, read(location));
+  out.reserve(reads.size());
+  if (!options_.parallel() || reads.size() <= 1) {
+    for (const ExtentRead& r : reads) {
+      ADA_ASSIGN_OR_RETURN(auto extent, read(locations[r.location], r));
       out.push_back(std::move(extent));
     }
     return out;
   }
 
   ADA_OBS_COUNT("retrieve.sg.calls", 1);
-  ADA_OBS_COUNT("retrieve.sg.extents", locations.size());
+  ADA_OBS_COUNT("retrieve.sg.extents", reads.size());
 
   // Group extents by owning backend (locality: within a backend, reads stay
   // in logical order -- sequential on a spinning server), then interleave
   // the groups round-robin so the pool's in-order task claim spreads across
   // backends instead of queueing behind one server's admission window.
   std::uint32_t backends = 0;
-  for (const DatasetLocation& location : locations) {
-    backends = std::max(backends, location.backend + 1);
+  for (const ExtentRead& r : reads) {
+    backends = std::max(backends, locations[r.location].backend + 1);
   }
   std::vector<std::vector<std::size_t>> by_backend(backends);
-  for (std::size_t i = 0; i < locations.size(); ++i) {
-    by_backend[locations[i].backend].push_back(i);
+  for (std::size_t i = 0; i < reads.size(); ++i) {
+    by_backend[locations[reads[i].location].backend].push_back(i);
   }
   std::vector<std::size_t> order;
-  order.reserve(locations.size());
-  for (std::size_t round = 0; order.size() < locations.size(); ++round) {
+  order.reserve(reads.size());
+  for (std::size_t round = 0; order.size() < reads.size(); ++round) {
     for (const auto& group : by_backend) {
       if (round < group.size()) order.push_back(group[round]);
     }
@@ -108,20 +138,20 @@ Result<std::vector<std::vector<std::uint8_t>>> IoRetriever::fetch(
   // tasks and the batch drains (common/admission.hpp).
   AdmissionWindow window(backends, options_.queue_depth);
   std::vector<Result<std::vector<std::uint8_t>>> results(
-      locations.size(),
+      reads.size(),
       Result<std::vector<std::uint8_t>>(internal_error("extent read not executed")));
   std::vector<std::function<void()>> tasks;
   tasks.reserve(order.size());
   for (const std::size_t index : order) {
-    tasks.push_back([this, &locations, &results, &window, index] {
-      const DatasetLocation& location = locations[index];
+    tasks.push_back([this, &locations, &reads, &results, &window, index] {
+      const DatasetLocation& location = locations[reads[index].location];
       const std::uint64_t waits = window.acquire(location.backend);
       if (waits != 0) ADA_OBS_COUNT("retrieve.sg.admission_waits", waits);
       {
         // Read + CRC verify pipelined on the worker: while this extent
         // transfers, siblings verify, so transfer overlaps decode.
         const obs::TraceSpan span("sg_extent", location.backend_name);
-        results[index] = read(location);
+        results[index] = read(location, reads[index]);
       }
       window.release(location.backend);
     });

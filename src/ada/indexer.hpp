@@ -36,6 +36,26 @@ struct DatasetLocation {
   std::uint64_t frame_base = 0;
   std::uint32_t frame_count = 0;
   bool has_frame_base = false;
+  /// Checksum blocks (v3 index; empty for records without a block list):
+  /// block k covers extent bytes [block_bounds[k], block_bounds[k + 1]) and
+  /// is verified against block_crcs[k] (plfs::block_bounds).
+  std::vector<std::uint64_t> block_bounds;
+  std::vector<std::uint32_t> block_crcs;
+};
+
+/// One contiguous read of a located extent: the whole extent (verified by
+/// its extent CRC), or the run of its checksum blocks [first_block,
+/// end_block) (each verified by its block CRC).
+struct ExtentRead {
+  std::size_t location = 0;  // index into the fetched location list
+  std::size_t first_block = 0;
+  std::size_t end_block = 0;  // 0: the whole extent
+
+  bool whole() const noexcept { return end_block == 0; }
+  /// Offset of the read's first byte inside the extent.
+  std::uint64_t extent_offset(const DatasetLocation& extent) const {
+    return whole() ? 0 : extent.block_bounds[first_block];
+  }
 };
 
 class Indexer {
@@ -75,20 +95,23 @@ class IoRetriever {
   explicit IoRetriever(const plfs::PlfsMount& mount, RetrieveOptions options = {})
       : mount_(mount), options_(options) {}
 
-  /// The one fetch: the bytes of each located extent, as separate images in
-  /// location order.  Every extent goes through the mount's extent reader
-  /// (plfs::PlfsMount::read_extent: retried, CRC32C-verified -- a mismatch
-  /// is a typed kCorruptData error, never silently served bytes).  With
-  /// options().parallel() the reads are scatter-gather; either way the first
-  /// failure in location order is the one returned.
+  /// The one fetch: the bytes of each read, as separate images in read
+  /// order.  Every read goes through the mount's extent reader
+  /// (plfs::PlfsMount::read_extent: a pread of exactly the span, retried,
+  /// CRC32C-verified -- a mismatch is a typed kCorruptData error, never
+  /// silently served bytes).  With options().parallel() the reads are
+  /// scatter-gather; either way the first failure in read order is the one
+  /// returned.
+  Result<std::vector<std::vector<std::uint8_t>>> fetch(
+      std::span<const DatasetLocation> locations, std::span<const ExtentRead> reads) const;
+
+  /// Every located extent, whole, in location order.
   Result<std::vector<std::vector<std::uint8_t>>> fetch(
       std::span<const DatasetLocation> locations) const;
 
  private:
-  Result<std::vector<std::uint8_t>> read(const DatasetLocation& location) const {
-    return mount_.read_extent(location.host_path, location.physical_offset, location.bytes,
-                              location.has_crc ? &location.crc32c : nullptr);
-  }
+  Result<std::vector<std::uint8_t>> read(const DatasetLocation& location,
+                                         const ExtentRead& read) const;
 
   const plfs::PlfsMount& mount_;
   RetrieveOptions options_;

@@ -206,10 +206,11 @@ struct FrameSpan {
 
 namespace {
 
-// Frames per cached range block: large enough to amortize per-entry cache
-// bookkeeping, small enough that a sparse stride never drags whole subsets
-// into the budget.
-constexpr std::uint64_t kFrameBlock = 32;
+// Frames per cached range block -- the index's checksum block, so a block
+// fill reads and verifies exactly one block of a batch extent.  Large enough
+// to amortize per-entry cache bookkeeping, small enough that a sparse
+// stride never drags whole subsets into the budget.
+using plfs::kFrameBlock;
 
 // Cache-key tag for frame block `b` holding global frames [lo, hi).  '\x01'
 // cannot appear in a label (the label file is line-oriented text), so block
@@ -323,12 +324,14 @@ Result<Ada::Planned> Ada::read(const std::string& logical_name, const Tag& tag,
 }
 
 Result<std::vector<std::vector<std::uint8_t>>> Ada::fetch(
-    std::span<const DatasetLocation> locations, const Tag& tag) const {
+    std::span<const DatasetLocation> locations, std::span<const ExtentRead> reads,
+    const Tag& tag) const {
   const obs::ScopedTimer retrieve_span("retrieve");
   const obs::TraceSpan retrieve_trace("retrieve", tag);
   const obs::TraceSpan read_trace("plfs_read", tag);
-  return IoRetriever(mount_, RetrieveOptions{config_.read_threads, config_.read_queue_depth})
-      .fetch(locations);
+  const IoRetriever retriever(mount_,
+                              RetrieveOptions{config_.read_threads, config_.read_queue_depth});
+  return reads.empty() ? retriever.fetch(locations) : retriever.fetch(locations, reads);
 }
 
 Result<Ada::Planned> Ada::read_subset(const std::string& logical_name, const Tag& tag,
@@ -352,7 +355,7 @@ Result<Ada::Planned> Ada::read_subset(const std::string& logical_name, const Tag
     ADA_ASSIGN_OR_RETURN(own, Indexer(mount_).locate(logical_name, tag));
     located = &own;
   }
-  ADA_ASSIGN_OR_RETURN(auto extents, fetch(*located, tag));
+  ADA_ASSIGN_OR_RETURN(auto extents, fetch(*located, {}, tag));
   std::vector<std::uint8_t> bytes = concat(std::move(extents));
   if (cache_ == nullptr) return Planned{nullptr, std::move(bytes)};
   // Fill only from this CRC-verified read: a faulted read errors out above
@@ -436,8 +439,10 @@ Result<Ada::Planned> Ada::read_frames(const std::string& logical_name, const Tag
   // query touching the same block waits for our insert instead of reading
   // the same extents again.  Claims are taken in ascending block order, so
   // two queries can never wait on each other's blocks in a cycle.  A missed
-  // block's fill needs every extent it overlaps.  Without the cache no block
-  // is assembled: only the extents holding the selected frames are read.
+  // block's fill needs every frame in it.  Without the cache no block is
+  // assembled: only the selected frames are needed.  A needed frame costs
+  // the checksum block holding it (one read per run of adjacent blocks), or
+  // the whole extent when its record has no block list.
   struct Block {
     std::uint64_t lo = 0;  // first frame, clamped to the retention floor
     std::uint64_t hi = 0;  // one past the last, clamped to the sealed prefix
@@ -446,10 +451,26 @@ Result<Ada::Planned> Ada::read_frames(const std::string& logical_name, const Tag
     QueryCache::FillGuard claim;
   };
   std::map<std::uint64_t, Block> blocks;
-  std::vector<std::size_t> needed;  // ascending: blocks and frames ascend
-  const auto need = [&](std::uint64_t g) {
+  std::vector<ExtentRead> needed;  // ascending by (location, first_block)
+  // Extent and checksum block (0 for an extent read whole) of frame `g`.
+  const auto block_of = [&](std::uint64_t g) {
     const std::size_t e = extent_of(g);
-    if (needed.empty() || needed.back() != e) needed.push_back(e);
+    const bool whole = locations[e].block_crcs.empty();
+    return std::pair(e, whole ? std::size_t{0}
+                              : static_cast<std::size_t>((g - first_frame[e]) / kFrameBlock));
+  };
+  const auto need = [&](std::uint64_t g) {
+    const auto [e, k] = block_of(g);
+    if (!needed.empty() && needed.back().location == e) {
+      ExtentRead& run = needed.back();
+      if (run.whole() || k < run.end_block) return;  // already covered
+      if (k == run.end_block) {
+        ++run.end_block;
+        return;
+      }
+    }
+    needed.push_back(locations[e].block_crcs.empty() ? ExtentRead{e, 0, 0}
+                                                     : ExtentRead{e, k, k + 1});
   };
   for (const std::uint64_t g : picked) {
     if (cache_ == nullptr) {
@@ -471,20 +492,22 @@ Result<Ada::Planned> Ada::read_frames(const std::string& logical_name, const Tag
     }
   }
 
-  // Fetch: one read of every needed extent, serial or scatter-gather.
+  // Fetch: one verified pread per planned read, serial or scatter-gather.
   std::vector<std::vector<std::uint8_t>> images;
   if (!needed.empty()) {
-    std::vector<DatasetLocation> wanted;
-    wanted.reserve(needed.size());
-    for (const std::size_t e : needed) wanted.push_back(locations[e]);
-    ADA_ASSIGN_OR_RETURN(images, fetch(wanted, tag));
+    ADA_ASSIGN_OR_RETURN(images, fetch(locations, needed, tag));
   }
-  std::vector<const std::uint8_t*> extent_data(locations.size(), nullptr);
-  for (std::size_t k = 0; k < needed.size(); ++k) extent_data[needed[k]] = images[k].data();
   const auto frame_in_extent = [&](std::uint64_t g) {
-    const std::size_t e = extent_of(g);
-    // canonical_extent proved offset + frame_bytes <= extent length.
-    return extent_data[e] + locations[e].frame_offsets[g - first_frame[e]];
+    const auto [e, k] = block_of(g);
+    // The read holding the frame: the last one starting at or before it.
+    const auto it = std::prev(std::upper_bound(
+        needed.begin(), needed.end(), std::pair(e, k), [](const auto& key, const ExtentRead& r) {
+          return key < std::pair(r.location, r.first_block);
+        }));
+    // canonical_extent proved offset + frame_bytes <= extent length, and a
+    // block run ends on a frame boundary.
+    return images[static_cast<std::size_t>(it - needed.begin())].data() +
+           (locations[e].frame_offsets[g - first_frame[e]] - it->extent_offset(locations[e]));
   };
 
   // Fill every missed block from the verified extents, releasing its claim

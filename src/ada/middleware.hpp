@@ -183,9 +183,11 @@ class Ada {
   /// Frame-range query: a canonical single-segment RAW image holding exactly
   /// the frames `range` selects, byte-identical to slicing those frames out
   /// of the full-subset query.  When every extent carries a frame table the
-  /// read touches only the extents the selection needs and caches fetched
-  /// frame blocks (when the cache is armed); otherwise it falls back to the
-  /// whole-subset read path and slices.
+  /// read touches only the extents the selection needs -- only their
+  /// 32-frame checksum blocks that hold selected frames, where the index
+  /// has a block list -- and caches fetched frame blocks (when the cache is
+  /// armed); otherwise it falls back to the whole-subset read path and
+  /// slices.
   Result<std::vector<std::uint8_t>> query(const std::string& logical_name, const Tag& tag,
                                           const FrameRange& range) const;
 
@@ -288,17 +290,20 @@ class Ada {
   /// The read planner behind every query entry point: locate -> plan extent
   /// and block reads -> fetch (serial, or scatter-gather when read_threads
   /// > 1) -> verify -> assemble.  `frames` null reads the whole subset (the
-  /// stored extents verbatim, cached as one entry under the mutation
-  /// generation); otherwise one canonical RAW segment of the selected frames
-  /// (cached as 32-frame blocks under the rewrite generation).
+  /// stored extents verbatim, each verified by its extent CRC, cached as one
+  /// entry under the mutation generation); otherwise one canonical RAW
+  /// segment of the selected frames, assembled from the checksum blocks that
+  /// hold them (cached as 32-frame blocks under the rewrite generation).
   Result<Planned> read(const std::string& logical_name, const Tag& tag,
                        const FrameSpan* frames) const;
   Result<Planned> read_subset(const std::string& logical_name, const Tag& tag,
                               const std::vector<DatasetLocation>* located) const;
   Result<Planned> read_frames(const std::string& logical_name, const Tag& tag,
                               const FrameSpan& frames) const;
-  /// The planner's fetch stage: located extents as separate verified images.
+  /// The planner's fetch stage: each planned read as a separate verified
+  /// image; empty `reads` fetches every location whole.
   Result<std::vector<std::vector<std::uint8_t>>> fetch(std::span<const DatasetLocation> locations,
+                                                       std::span<const ExtentRead> reads,
                                                        const Tag& tag) const;
   /// read() for every user tag, in tag order, each with its own outcome;
   /// only an unreadable tag list fails the whole call.

@@ -1,6 +1,13 @@
 #include "common/binary_io.hpp"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
 #include <memory>
 
 namespace ada {
@@ -129,6 +136,42 @@ Result<std::vector<std::uint8_t>> read_file(const std::string& path) {
   if (size > 0 && std::fread(data.data(), 1, data.size(), f.get()) != data.size()) {
     return io_error("short read on " + path);
   }
+  return data;
+}
+
+Result<std::vector<std::uint8_t>> read_file_range(const std::string& path,
+                                                  std::uint64_t offset, std::uint64_t length) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
+    return errno == ENOENT ? not_found("cannot open " + path)
+                           : io_error("cannot open " + path + ": " + std::strerror(errno));
+  }
+  // Size the buffer by what the file holds, so a lying length fails short
+  // instead of allocating it.
+  struct stat st {};
+  if (::fstat(fd, &st) != 0) {
+    const int err = errno;
+    ::close(fd);
+    return io_error("fstat failed on " + path + ": " + std::strerror(err));
+  }
+  const auto size = static_cast<std::uint64_t>(st.st_size);
+  std::vector<std::uint8_t> data(
+      static_cast<std::size_t>(offset >= size ? 0 : std::min(length, size - offset)));
+  std::size_t done = 0;
+  while (done < data.size()) {
+    const ssize_t n = ::pread(fd, data.data() + done, data.size() - done,
+                              static_cast<off_t>(offset + done));
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0) {
+      const int err = errno;
+      ::close(fd);
+      return io_error("pread failed on " + path + ": " + std::strerror(err));
+    }
+    if (n == 0) break;  // end of file
+    done += static_cast<std::size_t>(n);
+  }
+  ::close(fd);
+  data.resize(done);
   return data;
 }
 

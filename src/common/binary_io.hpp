@@ -98,6 +98,12 @@ class ByteReader {
 /// Read an entire file into memory.
 Result<std::vector<std::uint8_t>> read_file(const std::string& path);
 
+/// Read bytes [offset, offset + length) of a file with pread: exactly that
+/// span is read, or fewer bytes when the file ends first (the caller decides
+/// whether short is an error).  A missing file is kNotFound.
+Result<std::vector<std::uint8_t>> read_file_range(const std::string& path,
+                                                  std::uint64_t offset, std::uint64_t length);
+
 /// Write (create/truncate) an entire file.  Flush/close failures are
 /// reported (a buffered short write must not look like success).
 Status write_file(const std::string& path, std::span<const std::uint8_t> data);

@@ -11,12 +11,39 @@ namespace ada::plfs {
 namespace {
 constexpr std::uint8_t kIndexMagicV1[8] = {'P', 'L', 'F', 'S', 'I', 'D', 'X', '1'};
 constexpr std::uint8_t kIndexMagicV2[8] = {'P', 'L', 'F', 'S', 'I', 'D', 'X', '2'};
+constexpr std::uint8_t kIndexMagicV3[8] = {'P', 'L', 'F', 'S', 'I', 'D', 'X', '3'};
 constexpr std::uint8_t kStreamMagic[8] = {'A', 'D', 'A', 'S', 'T', 'R', 'M', '1'};
+}
+
+std::vector<std::uint64_t> block_bounds(std::span<const std::uint64_t> frame_offsets,
+                                        std::uint64_t length) {
+  if (frame_offsets.size() <= kFrameBlock) return {};
+  for (std::size_t i = 0; i < frame_offsets.size(); ++i) {
+    if (frame_offsets[i] >= length || (i > 0 && frame_offsets[i] <= frame_offsets[i - 1])) {
+      return {};
+    }
+  }
+  std::vector<std::uint64_t> bounds{0};
+  for (std::size_t f = kFrameBlock; f < frame_offsets.size(); f += kFrameBlock) {
+    bounds.push_back(frame_offsets[f]);
+  }
+  bounds.push_back(length);
+  return bounds;
+}
+
+std::vector<std::uint32_t> block_checksums(std::span<const std::uint8_t> extent,
+                                           std::span<const std::uint64_t> frame_offsets) {
+  const auto bounds = block_bounds(frame_offsets, extent.size());
+  std::vector<std::uint32_t> crcs;
+  for (std::size_t k = 0; k + 1 < bounds.size(); ++k) {
+    crcs.push_back(crc32c(extent.data() + bounds[k], bounds[k + 1] - bounds[k]));
+  }
+  return crcs;
 }
 
 std::vector<std::uint8_t> encode_index(const std::vector<IndexRecord>& records) {
   ByteWriter w;
-  w.put_bytes(kIndexMagicV2);
+  w.put_bytes(kIndexMagicV3);
   w.put_u32_le(static_cast<std::uint32_t>(records.size()));
   for (const IndexRecord& r : records) {
     w.put_u64_le(r.logical_offset);
@@ -35,14 +62,20 @@ std::vector<std::uint8_t> encode_index(const std::vector<IndexRecord>& records) 
       w.put_u64_le(r.frame_base);
       w.put_u32_le(r.frame_count);
     }
+    if (r.has_block_checksums()) {
+      w.put_u32_le(static_cast<std::uint32_t>(r.block_crcs.size()));
+      for (const std::uint32_t crc : r.block_crcs) w.put_u32_le(crc);
+    }
   }
   return w.take();
 }
 
 Result<std::vector<IndexRecord>> decode_index(std::span<const std::uint8_t> image) {
-  bool v2 = false;
-  if (image.size() >= 12 && std::memcmp(image.data(), kIndexMagicV2, 8) == 0) {
-    v2 = true;
+  int version = 1;
+  if (image.size() >= 12 && std::memcmp(image.data(), kIndexMagicV3, 8) == 0) {
+    version = 3;
+  } else if (image.size() >= 12 && std::memcmp(image.data(), kIndexMagicV2, 8) == 0) {
+    version = 2;
   } else if (image.size() < 12 || std::memcmp(image.data(), kIndexMagicV1, 8) != 0) {
     return corrupt_data("bad plfs index magic");
   }
@@ -58,9 +91,12 @@ Result<std::vector<IndexRecord>> decode_index(std::span<const std::uint8_t> imag
     ADA_ASSIGN_OR_RETURN(record.label, r.get_string_le());
     ADA_ASSIGN_OR_RETURN(record.dropping, r.get_string_le());
     ADA_ASSIGN_OR_RETURN(record.physical_offset, r.get_u64_le());
-    if (v2) {
+    if (version >= 2) {
       ADA_ASSIGN_OR_RETURN(record.crc32c, r.get_u32_le());
       ADA_ASSIGN_OR_RETURN(record.flags, r.get_u8());
+      if (version == 2) {
+        record.flags = static_cast<std::uint8_t>(record.flags & ~IndexRecord::kHasBlockChecksums);
+      }
       if (record.has_frame_table()) {
         ADA_ASSIGN_OR_RETURN(const std::uint32_t frames, r.get_u32_le());
         // Bound the allocation by the bytes actually present: a lying count
@@ -78,6 +114,19 @@ Result<std::vector<IndexRecord>> decode_index(std::span<const std::uint8_t> imag
       if (record.has_frame_base()) {
         ADA_ASSIGN_OR_RETURN(record.frame_base, r.get_u64_le());
         ADA_ASSIGN_OR_RETURN(record.frame_count, r.get_u32_le());
+      }
+      if (record.has_block_checksums()) {
+        ADA_ASSIGN_OR_RETURN(const std::uint32_t blocks, r.get_u32_le());
+        // A block list must match the frame table it partitions: readers
+        // index one by the other.
+        if (blocks != block_bounds(record.frame_offsets, record.length).size() - 1 ||
+            blocks > r.remaining() / 4) {
+          return corrupt_data("block checksum count disagrees with the frame table");
+        }
+        record.block_crcs.resize(blocks);
+        for (std::uint32_t& crc : record.block_crcs) {
+          ADA_ASSIGN_OR_RETURN(crc, r.get_u32_le());
+        }
       }
     }
     records.push_back(std::move(record));

@@ -17,6 +17,10 @@
 
 namespace ada::plfs {
 
+/// Frames per checksum block (index v3) and per cached frame-range block:
+/// a range read fetches and verifies only the blocks its frames fall in.
+inline constexpr std::uint64_t kFrameBlock = 32;
+
 /// One logical extent of a container.
 struct IndexRecord {
   /// flags bits (v2 index format).
@@ -28,6 +32,9 @@ struct IndexRecord {
   /// axis).  Readers clamp to the container's sealed-frame watermark
   /// (StreamState) using exactly this span.
   static constexpr std::uint8_t kHasFrameBase = 0x04;
+  /// Record carries one CRC32C per kFrameBlock-frame block (v3 index
+  /// format; see block_bounds for the byte span each covers).
+  static constexpr std::uint8_t kHasBlockChecksums = 0x08;
 
   std::uint64_t logical_offset = 0;  // position in the logical file
   std::uint64_t length = 0;
@@ -68,17 +75,43 @@ struct IndexRecord {
     flags |= kHasFrameBase;
   }
 
+  /// Per-block checksums (valid iff kHasBlockChecksums): block_crcs[k]
+  /// covers bytes [block_bounds[k], block_bounds[k + 1]) of the extent.
+  std::vector<std::uint32_t> block_crcs;
+
+  bool has_block_checksums() const noexcept { return (flags & kHasBlockChecksums) != 0; }
+  void set_block_checksums(std::vector<std::uint32_t> crcs) {
+    block_crcs = std::move(crcs);
+    flags |= kHasBlockChecksums;
+  }
+
   friend bool operator==(const IndexRecord&, const IndexRecord&) = default;
 };
 
+/// Byte boundaries (relative to the extent start) of the checksum blocks of
+/// an extent of `length` bytes with frame table `frame_offsets`: block 0
+/// starts at 0 (it carries the RAW header), block k at frame 32k, and the
+/// last ends at `length`.  Empty when the extent needs no block list -- 32
+/// frames or fewer, which its extent CRC already covers -- or the table is
+/// not strictly increasing inside the extent.
+std::vector<std::uint64_t> block_bounds(std::span<const std::uint64_t> frame_offsets,
+                                        std::uint64_t length);
+
+/// CRC32C of each checksum block of `extent` (see block_bounds); empty when
+/// the extent needs none.
+std::vector<std::uint32_t> block_checksums(std::span<const std::uint8_t> extent,
+                                           std::span<const std::uint64_t> frame_offsets);
+
 /// Serialize an index to its on-disk image (little-endian, magic-prefixed).
-/// Writes the v2 format ("PLFSIDX2"), which adds a per-record CRC32C
-/// checksum + flags byte.
+/// Writes the v3 format ("PLFSIDX3"): v2's per-record CRC32C + flags byte,
+/// plus the block checksum list of records flagged kHasBlockChecksums.
 std::vector<std::uint8_t> encode_index(const std::vector<IndexRecord>& records);
 
-/// Parse an on-disk index image.  Accepts both v2 ("PLFSIDX2") and legacy
-/// v1 ("PLFSIDX1") images; v1 records decode with no checksum (readers then
-/// skip verification for those extents).
+/// Parse an on-disk index image.  Accepts v3 ("PLFSIDX3"), v2 ("PLFSIDX2")
+/// and legacy v1 ("PLFSIDX1") images; v1 records decode with no checksum
+/// (readers then skip verification for those extents), v1/v2 records with
+/// no block checksums (readers verify the whole extent).  A block list whose
+/// length disagrees with the record's frame table is kCorruptData.
 Result<std::vector<IndexRecord>> decode_index(std::span<const std::uint8_t> image);
 
 /// Live-stream publication state of a container ("stream.plfs", next to the

@@ -70,16 +70,24 @@ Result<VerifyReport> verify_container(const PlfsMount& mount, const std::string&
       report.broken_records.push_back(record);
       continue;
     }
-    // Full-length dropping: verify the extent's stored checksum (v1 records
-    // carry none and are treated as intact).
+    // Full-length dropping: verify the extent's stored checksum and each
+    // block checksum (v1 records carry none and are treated as intact).
     bool checksum_bad = false;
-    if (record.has_checksum()) {
+    if (record.has_checksum() || record.has_block_checksums()) {
       const std::string path =
           mount.dropping_host_path(record.backend, logical_name, record.dropping);
       ADA_ASSIGN_OR_RETURN(const auto bytes, read_file(path));
-      const std::uint32_t actual =
-          crc32c(bytes.data() + record.physical_offset, record.length);
-      checksum_bad = actual != record.crc32c;
+      const std::span<const std::uint8_t> extent(bytes.data() + record.physical_offset,
+                                                 record.length);
+      checksum_bad = record.has_checksum() && crc32c(extent.data(), extent.size()) != record.crc32c;
+      if (record.has_block_checksums()) {
+        const auto actual = block_checksums(extent, record.frame_offsets);
+        for (std::size_t k = 0; k < record.block_crcs.size(); ++k) {
+          if (k < actual.size() && actual[k] == record.block_crcs[k]) continue;
+          report.bad_blocks.push_back({record.backend, record.dropping, k});
+          checksum_bad = true;
+        }
+      }
     }
     if (checksum_bad) {
       report.checksum_bad_records.push_back(record);

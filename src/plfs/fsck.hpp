@@ -24,6 +24,17 @@ struct VerifyReport {
   /// stored CRC32C (silent corruption: bit flip, torn rewrite).
   std::vector<IndexRecord> checksum_bad_records;
 
+  /// Checksum blocks (v3 index) that fail their stored CRC32C: block
+  /// `block` of `dropping` covers the record's bytes [block_bounds[block],
+  /// block_bounds[block + 1]).  Each one's record is also listed in
+  /// checksum_bad_records; range reads of the other blocks still succeed.
+  struct BadBlock {
+    std::uint32_t backend = 0;
+    std::string dropping;
+    std::size_t block = 0;
+  };
+  std::vector<BadBlock> bad_blocks;
+
   /// Files inside container directories that no index record references.
   /// (backend id, file name)
   std::vector<std::pair<std::uint32_t, std::string>> orphan_droppings;

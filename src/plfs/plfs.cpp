@@ -73,10 +73,13 @@ Status write_dropping_bytes(const std::string& path, std::span<const std::uint8_
   return write_file(path, bytes);
 }
 
-/// Read one dropping file under the read_dropping fault site.  A corrupt
-/// outcome flips one byte of the returned buffer (simulated media error);
-/// checksum verification downstream must catch it.
-Result<std::vector<std::uint8_t>> read_dropping_file(const std::string& path) {
+/// Read bytes [offset, offset + length) of one dropping under the
+/// read_dropping fault site.  A corrupt outcome flips one byte of the
+/// returned span (simulated media error); checksum verification downstream
+/// must catch it.
+Result<std::vector<std::uint8_t>> read_dropping_span(const std::string& path,
+                                                     std::uint64_t offset,
+                                                     std::uint64_t length) {
   const fault::Outcome outcome = fault::hit(kSiteReadDropping);
   if (outcome.kind == fault::Outcome::Kind::kError) {
     return outcome.to_error(kSiteReadDropping);
@@ -84,7 +87,10 @@ Result<std::vector<std::uint8_t>> read_dropping_file(const std::string& path) {
   if (outcome.kind == fault::Outcome::Kind::kDelay) {
     std::this_thread::sleep_for(std::chrono::duration<double>(outcome.delay_seconds));
   }
-  ADA_ASSIGN_OR_RETURN(auto data, read_file(path));
+  ADA_ASSIGN_OR_RETURN(auto data, read_file_range(path, offset, length));
+  ADA_OBS_COUNT("plfs.read.calls", 1);
+  ADA_OBS_COUNT("plfs.read.bytes", data.size());
+  obs::trace_counter("plfs.read.bytes", data.size());
   if (outcome.kind == fault::Outcome::Kind::kCorrupt && !data.empty()) {
     data[flip_position(data.size(), outcome.fraction)] ^= 0x01;
   }
@@ -241,7 +247,11 @@ Result<IndexRecord> PlfsMount::append(const std::string& logical_name, const std
       "dropping." + (label.empty() ? std::string("data") : label) + "." + std::to_string(ordinal);
   record.physical_offset = 0;  // one dropping file per append
   record.set_checksum(crc32c(bytes.data(), bytes.size()));
-  if (frame_offsets != nullptr) record.set_frame_table(*frame_offsets);
+  if (frame_offsets != nullptr) {
+    auto block_crcs = block_checksums(bytes, *frame_offsets);
+    if (!block_crcs.empty()) record.set_block_checksums(std::move(block_crcs));
+    record.set_frame_table(*frame_offsets);
+  }
   if (frame_base != nullptr) record.set_frame_base(*frame_base, frame_count);
 
   const std::string path = container_dir(backend_id, logical_name) + "/" + record.dropping;
@@ -252,32 +262,43 @@ Result<IndexRecord> PlfsMount::append(const std::string& logical_name, const std
   return record;
 }
 
-Result<std::vector<std::uint8_t>> PlfsMount::read_extent(const std::string& host_path,
-                                                         std::uint64_t offset,
-                                                         std::uint64_t length,
-                                                         const std::uint32_t* crc32c) const {
-  ADA_ASSIGN_OR_RETURN(auto dropping, retry_sync("plfs_read_dropping", retry_policy_, [&] {
-                         return read_dropping_file(host_path);
-                       }));
-  // Offset and length come from the on-disk index: compare without letting
-  // offset + length wrap.
-  if (offset > dropping.size() || length > dropping.size() - offset) {
-    return corrupt_data("dropping " + host_path + " shorter than its index record");
+Result<std::vector<std::uint8_t>> PlfsMount::read_extent(
+    const std::string& host_path, std::span<const std::uint64_t> bounds,
+    std::span<const std::uint32_t> crcs) const {
+  // Bounds come from the on-disk index: a wrapped offset + length shows up
+  // as a descending span.
+  if (bounds.size() < 2 || bounds.back() < bounds.front() ||
+      (!crcs.empty() && crcs.size() + 1 != bounds.size())) {
+    return corrupt_data("bad extent bounds for " + host_path);
   }
-  const std::span<const std::uint8_t> extent(dropping.data() + offset, length);
-  if (crc32c != nullptr) {
-    const std::uint32_t actual = ada::crc32c(extent.data(), extent.size());
-    if (actual != *crc32c) {
-      ADA_OBS_COUNT("plfs.crc_mismatch", 1);
-      return corrupt_data("checksum mismatch on " + host_path + ": stored " +
-                          std::to_string(*crc32c) + ", computed " + std::to_string(actual));
+  const std::uint64_t offset = bounds.front();
+  const std::uint64_t length = bounds.back() - offset;
+  for (int attempt = 1;; ++attempt) {
+    ADA_ASSIGN_OR_RETURN(auto span, retry_sync("plfs_read_dropping", retry_policy_, [&] {
+                           return read_dropping_span(host_path, offset, length);
+                         }));
+    if (span.size() != length) {
+      return corrupt_data("dropping " + host_path + " shorter than its index record");
+    }
+    std::size_t bad = crcs.size();
+    std::uint32_t actual = 0;
+    for (std::size_t i = 0; i < crcs.size() && bad == crcs.size(); ++i) {
+      const std::uint64_t begin = bounds[i] - offset;
+      const std::uint64_t end = bounds[i + 1] - offset;
+      if (end < begin || end > length) return corrupt_data("bad extent bounds for " + host_path);
+      actual = ada::crc32c(span.data() + begin, end - begin);
+      ADA_OBS_COUNT("plfs.crc.bytes", end - begin);
+      if (actual != crcs[i]) bad = i;
+    }
+    if (bad == crcs.size()) return span;
+    ADA_OBS_COUNT("plfs.crc_mismatch", 1);
+    if (attempt >= retry_policy_.max_attempts) {
+      return corrupt_data("checksum mismatch on " + host_path + " bytes [" +
+                          std::to_string(bounds[bad]) + ", " + std::to_string(bounds[bad + 1]) +
+                          "): stored " + std::to_string(crcs[bad]) + ", computed " +
+                          std::to_string(actual));
     }
   }
-  ADA_OBS_COUNT("plfs.read.calls", 1);
-  ADA_OBS_COUNT("plfs.read.bytes", length);
-  obs::trace_counter("plfs.read.bytes", length);
-  if (extent.size() == dropping.size()) return dropping;
-  return std::vector<std::uint8_t>(extent.begin(), extent.end());
 }
 
 Result<std::vector<std::uint8_t>> PlfsMount::read_records(const std::string& logical_name,
@@ -291,11 +312,13 @@ Result<std::vector<std::uint8_t>> PlfsMount::read_records(const std::string& log
   std::vector<std::uint8_t> out;
   out.reserve(total);
   for (const IndexRecord& record : records) {
+    const std::uint64_t bounds[] = {record.physical_offset,
+                                    record.physical_offset + record.length};
     ADA_ASSIGN_OR_RETURN(
         const auto extent,
-        read_extent(dropping_host_path(record.backend, logical_name, record.dropping),
-                    record.physical_offset, record.length,
-                    record.has_checksum() ? &record.crc32c : nullptr));
+        read_extent(dropping_host_path(record.backend, logical_name, record.dropping), bounds,
+                    record.has_checksum() ? std::span(&record.crc32c, 1)
+                                          : std::span<const std::uint32_t>()));
     out.insert(out.end(), extent.begin(), extent.end());
   }
   return out;

@@ -59,7 +59,9 @@ class PlfsMount {
   /// CRC32C is computed over the intended bytes and stored in the record, so
   /// a torn or corrupted write is caught at read time.  When `frame_offsets`
   /// is non-null the record additionally carries a frame table (byte offset
-  /// of each decoded frame within this extent) for frame-range queries.
+  /// of each decoded frame within this extent) for frame-range queries, and
+  /// an extent of more than kFrameBlock frames also one CRC32C per block
+  /// (container.hpp, block_bounds) so a range read verifies only its blocks.
   /// When `frame_base` is non-null the record also carries a global frame
   /// span [*frame_base, *frame_base + frame_count) -- streaming ingest uses
   /// this so readers can clamp to the sealed-frame watermark.
@@ -69,16 +71,20 @@ class PlfsMount {
                              const std::uint64_t* frame_base = nullptr,
                              std::uint32_t frame_count = 0);
 
-  /// The one extent reader: read the dropping file at `host_path` under the
-  /// "plfs.read_dropping" fault site and the mount's retry policy, slice out
-  /// [offset, offset + length) and verify it against `crc32c` (null for
-  /// legacy v1 records, which store none).  A short dropping or a checksum
-  /// mismatch is kCorruptData, never silently served bytes.  When the extent
-  /// is the whole file, the buffer read is returned without a copy.  Counts
-  /// plfs.read.calls / plfs.read.bytes per extent.
+  /// The one extent reader: pread bytes [bounds.front(), bounds.back()) of
+  /// the dropping at `host_path` -- exactly that span, never the whole file
+  /// -- under the "plfs.read_dropping" fault site and the mount's retry
+  /// policy, and verify piece i, [bounds[i], bounds[i + 1]), against
+  /// crcs[i].  A whole extent is one piece checked by its extent CRC; a
+  /// block run is one piece per checksum block.  Empty `crcs` reads
+  /// unverified (legacy v1 records store none).  A short dropping or a
+  /// checksum mismatch is kCorruptData, never silently served bytes; a
+  /// mismatch is re-read up to the retry policy's attempt count first, since
+  /// an in-flight corruption may not recur.  Counts plfs.read.calls /
+  /// plfs.read.bytes per pread and plfs.crc.bytes per verified byte.
   Result<std::vector<std::uint8_t>> read_extent(const std::string& host_path,
-                                                std::uint64_t offset, std::uint64_t length,
-                                                const std::uint32_t* crc32c) const;
+                                                std::span<const std::uint64_t> bounds,
+                                                std::span<const std::uint32_t> crcs) const;
 
   /// Full logical file content, reassembled across backends in logical order.
   Result<std::vector<std::uint8_t>> read_logical(const std::string& logical_name) const;

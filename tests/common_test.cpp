@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "common/binary_io.hpp"
+#include "common/crc32c.hpp"
 #include "common/result.hpp"
 #include "common/rng.hpp"
 #include "common/strings.hpp"
@@ -247,6 +248,56 @@ TEST(BinaryIoTest, Byteswap) {
 }
 
 // --- table -------------------------------------------------------------------------
+
+// --- crc32c ------------------------------------------------------------------------
+
+TEST(Crc32cTest, KnownAnswers) {
+  const std::string check = "123456789";
+  const std::vector<std::uint8_t> zeros(32, 0x00);
+  const std::vector<std::uint8_t> ones(32, 0xFF);
+  std::vector<std::uint8_t> ascending(32);
+  for (std::size_t i = 0; i < ascending.size(); ++i) ascending[i] = static_cast<std::uint8_t>(i);
+  // The CRC-32C check value, then the RFC 3720 section B.4 vectors.
+  using Fn = std::uint32_t (*)(const void*, std::size_t, std::uint32_t) noexcept;
+  for (const Fn fn : {Fn{&crc32c_table}, Fn{&crc32c}}) {
+    EXPECT_EQ(fn(check.data(), check.size(), 0), 0xE3069283u);
+    EXPECT_EQ(fn(zeros.data(), zeros.size(), 0), 0x8A9136AAu);
+    EXPECT_EQ(fn(ones.data(), ones.size(), 0), 0x62A8AB43u);
+    EXPECT_EQ(fn(ascending.data(), ascending.size(), 0), 0x46DD794Eu);
+    EXPECT_EQ(fn(nullptr, 0, 0), 0u);
+  }
+}
+
+TEST(Crc32cTest, DispatchedPathMatchesTableAtEveryLengthAndAlignment) {
+  // On a CPU with SSE4.2 this holds the hardware loop (8-byte words plus a
+  // byte tail) against the table; elsewhere both sides are the table.
+  std::vector<std::uint8_t> buffer(1024 + 8);
+  Rng rng(0xC2C);
+  for (auto& b : buffer) b = static_cast<std::uint8_t>(rng.uniform_index(256));
+  for (std::size_t start = 0; start < 8; ++start) {
+    for (std::size_t length = 0; length <= 1024; ++length) {
+      ASSERT_EQ(crc32c(buffer.data() + start, length), crc32c_table(buffer.data() + start, length))
+          << "start " << start << " length " << length
+          << (crc32c_hardware() ? " (hardware)" : " (table)");
+    }
+  }
+}
+
+TEST(Crc32cTest, IncrementalContinuationEqualsOneShot) {
+  std::vector<std::uint8_t> buffer(777);
+  Rng rng(7);
+  for (auto& b : buffer) b = static_cast<std::uint8_t>(rng.uniform_index(256));
+  const std::uint32_t whole = crc32c(buffer);
+  for (const std::size_t split : {std::size_t{0}, std::size_t{1}, std::size_t{8}, std::size_t{13},
+                                  std::size_t{512}, buffer.size()}) {
+    const std::uint32_t head = crc32c(buffer.data(), split);
+    EXPECT_EQ(crc32c(buffer.data() + split, buffer.size() - split, head), whole) << split;
+    EXPECT_EQ(crc32c_table(buffer.data() + split, buffer.size() - split,
+                           crc32c_table(buffer.data(), split)),
+              whole)
+        << split;
+  }
+}
 
 TEST(TableTest, AlignedOutput) {
   Table t({"frames", "time"});

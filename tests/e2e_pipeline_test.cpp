@@ -25,6 +25,7 @@
 #include "obs/trace_export.hpp"
 #include "workload/gpcr_builder.hpp"
 #include "workload/trajectory_gen.hpp"
+#include "test_util.hpp"
 
 namespace ada::core {
 namespace {
@@ -36,8 +37,7 @@ constexpr std::uint32_t kFrames = 5;
 class E2ePipelineTest : public testing::Test {
  protected:
   void SetUp() override {
-    root_ = testing::TempDir() + "/ada_e2e_" +
-            std::to_string(reinterpret_cast<std::uintptr_t>(this));
+    root_ = ada::test::unique_temp_dir("ada_e2e_");
     fs::remove_all(root_);
     system_ = workload::GpcrSystemBuilder(workload::GpcrSpec::tiny()).build();
     workload::TrajectoryGenerator gen(system_, workload::DynamicsSpec{});

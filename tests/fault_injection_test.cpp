@@ -4,15 +4,19 @@
 // disabled path, and retry/backoff/deadline semantics.
 #include <algorithm>
 #include <cmath>
+#include <filesystem>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/crc32c.hpp"
 #include "common/faults.hpp"
 #include "common/result.hpp"
 #include "common/retry.hpp"
 #include "common/rng.hpp"
+#include "plfs/plfs.hpp"
+#include "test_util.hpp"
 
 namespace ada {
 namespace {
@@ -294,6 +298,50 @@ TEST_F(FaultInjectionTest, IsTransientClassification) {
   EXPECT_FALSE(is_transient(ErrorCode::kNotFound));
   EXPECT_FALSE(is_transient(ErrorCode::kInvalidArgument));
   EXPECT_FALSE(is_transient(ErrorCode::kDeadlineExceeded));
+}
+
+// The read_dropping site wraps the block-granular pread: a corrupt outcome
+// on a block read is caught by that block's CRC and re-read; its bytes are
+// never served, and a corruption on every read surfaces as kCorruptData.
+TEST_F(FaultInjectionTest, CorruptBlockReadIsCaughtRetriedAndNeverServed) {
+  const std::string root = test::unique_temp_dir("ada_fault_block_");
+  std::filesystem::remove_all(root);
+  auto mount = plfs::PlfsMount::open({{"ssd", root + "/ssd"}}).value();
+  RetryPolicy fast;
+  fast.initial_backoff_s = 1e-4;
+  mount.set_retry_policy(fast);
+  ASSERT_TRUE(mount.create_container("bar").is_ok());
+  // 70 frames of 10 bytes after a 16-byte header: three checksum blocks.
+  std::vector<std::uint64_t> table(70);
+  for (std::size_t f = 0; f < table.size(); ++f) table[f] = 16 + f * 10;
+  std::vector<std::uint8_t> bytes(716);
+  for (std::size_t i = 0; i < bytes.size(); ++i) bytes[i] = static_cast<std::uint8_t>(i * 13);
+  const auto record = mount.append("bar", "p", 0, bytes, &table).value();
+  ASSERT_EQ(record.block_crcs.size(), 3u);
+  const std::string path = mount.dropping_host_path(0, "bar", record.dropping);
+  const std::uint64_t block1[] = {336, 656};
+  const auto crc1 = std::span(record.block_crcs).subspan(1, 1);
+  const std::vector<std::uint8_t> expected(bytes.begin() + 336, bytes.begin() + 656);
+
+  {
+    const ScopedFault once("plfs.read_dropping", Schedule::corrupt_read(1, 0.3));
+    const auto read = mount.read_extent(path, block1, crc1);
+    ASSERT_TRUE(read.is_ok()) << read.error().to_string();
+    EXPECT_EQ(read.value(), expected);
+    EXPECT_EQ(Injector::global().fired("plfs.read_dropping"), 1u);
+    EXPECT_EQ(Injector::global().hits("plfs.read_dropping"), 2u) << "one re-read";
+  }
+  {
+    Schedule always = Schedule::corrupt_read(1, 0.3);
+    always.trigger = Schedule::Trigger::kAlways;
+    const ScopedFault every("plfs.read_dropping", always);
+    const auto read = mount.read_extent(path, block1, crc1);
+    ASSERT_FALSE(read.is_ok());
+    EXPECT_EQ(read.error().code(), ErrorCode::kCorruptData);
+    EXPECT_EQ(Injector::global().hits("plfs.read_dropping"),
+              static_cast<std::uint64_t>(fast.max_attempts));
+  }
+  std::filesystem::remove_all(root);
 }
 
 }  // namespace

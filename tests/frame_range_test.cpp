@@ -33,6 +33,7 @@
 #include "plfs/fsck.hpp"
 #include "workload/gpcr_builder.hpp"
 #include "workload/trajectory_gen.hpp"
+#include "test_util.hpp"
 
 namespace ada::core {
 namespace {
@@ -59,8 +60,7 @@ std::vector<std::uint8_t> reference_slice(const std::vector<std::uint8_t>& full,
 class FrameRangeTest : public testing::Test {
  protected:
   void SetUp() override {
-    root_ = testing::TempDir() + "/ada_range_" +
-            std::to_string(reinterpret_cast<std::uintptr_t>(this));
+    root_ = ada::test::unique_temp_dir("ada_range_");
     fs::remove_all(root_);
     system_ = workload::GpcrSystemBuilder(workload::GpcrSpec::tiny()).build();
   }
@@ -194,6 +194,74 @@ INSTANTIATE_TEST_SUITE_P(
              (std::get<2>(info.param) != 0 ? "_cached" : "_uncached") +
              (std::get<3>(info.param) != 0 ? "_sg4" : "");
     });
+
+// --- block-granular reads: extents of several 32-frame checksum blocks ----------
+
+// Batch extents above 32 frames carry one CRC per 32-frame block, and range
+// reads fetch and verify only the blocks holding selected frames.  Same
+// differential as the matrix above, on extents of four blocks, plus sparse
+// strides whose blocks are not adjacent (one read per run of blocks).
+class FrameRangeBlockTest
+    : public FrameRangeTest,
+      public testing::WithParamInterface<std::tuple<std::uint64_t, unsigned>> {};
+
+TEST_P(FrameRangeBlockTest, MultiBlockExtentsMatchReferenceSlice) {
+  const auto [cache_bytes, read_threads] = GetParam();
+  auto ada = open_ada("blocks", /*frame_tables=*/true, cache_bytes, /*overwrite=*/false,
+                      read_threads);
+  constexpr std::uint32_t kFrames = 100;  // blocks of 32, 32, 32 and 4 frames
+  ASSERT_TRUE(ada->ingest(system_, make_xtc(kFrames), "bar.xtc").is_ok());
+  const auto locations = Indexer(ada->mount()).locate("bar.xtc", kProteinTag).value();
+  ASSERT_EQ(locations.size(), 1u);
+  ASSERT_EQ(locations[0].block_crcs.size(), 4u);
+  check_differential(*ada, "bar.xtc", kFrames);
+  const auto full = ada->query("bar.xtc", kProteinTag).value();
+  for (const FrameRange range : {FrameRange{0, kFrames, 40}, FrameRange{31, 97, 33},
+                                 FrameRange{5, 70, 64}, FrameRange{96, 100, 1}}) {
+    EXPECT_EQ(ada->query("bar.xtc", kProteinTag, range).value(), reference_slice(full, range))
+        << range.begin << ":" << range.end << ":" << range.stride;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Blocks, FrameRangeBlockTest,
+    testing::Combine(testing::Values(std::uint64_t{0}, kPlentyOfCache), testing::Values(0u, 4u)),
+    [](const auto& info) {
+      return std::string(std::get<0>(info.param) != 0 ? "cached" : "uncached") +
+             (std::get<1>(info.param) != 0 ? "_sg4" : "");
+    });
+
+// plfs.read.bytes counts the bytes actually read and plfs.crc.bytes the
+// bytes verified: a 10-frame range inside one block of a 96-frame extent
+// costs that block (block 0 carries the RAW header), not the extent.
+TEST_F(FrameRangeTest, TenFrameRangeReadsOneBlockPlusHeader) {
+  auto ada = open_ada("counters", /*frame_tables=*/true, 0);
+  ASSERT_TRUE(ada->ingest(system_, make_xtc(96), "bar.xtc").is_ok());
+  const auto locations = Indexer(ada->mount()).locate("bar.xtc", kProteinTag).value();
+  ASSERT_EQ(locations.size(), 1u);
+  ASSERT_EQ(locations[0].block_crcs.size(), 3u);
+  const std::uint64_t frame_bytes = locations[0].frame_offsets[1] - locations[0].frame_offsets[0];
+  const std::uint64_t one_block = plfs::kFrameBlock * frame_bytes;
+
+  obs::set_enabled(true);
+  const auto& registry = obs::Registry::global();
+  for (const std::uint32_t begin : {0u, 40u, 70u}) {
+    obs::reset_all();
+    ASSERT_TRUE(ada->query("bar.xtc", kProteinTag, FrameRange{begin, begin + 10, 1}).is_ok());
+    EXPECT_EQ(registry.counter_value("plfs.read.calls"), 1u) << begin;
+    EXPECT_LE(registry.counter_value("plfs.read.bytes"), 16 + one_block) << begin;
+    EXPECT_EQ(registry.counter_value("plfs.crc.bytes"),
+              registry.counter_value("plfs.read.bytes"))
+        << begin;
+  }
+  // A whole-subset read still reads and verifies the whole extent.
+  obs::reset_all();
+  ASSERT_TRUE(ada->query("bar.xtc", kProteinTag).is_ok());
+  EXPECT_EQ(registry.counter_value("plfs.read.bytes"), locations[0].bytes);
+  EXPECT_EQ(registry.counter_value("plfs.crc.bytes"), locations[0].bytes);
+  obs::set_enabled(false);
+  obs::reset_all();
+}
 
 // --- fast path / fallback wiring ------------------------------------------------
 

@@ -1,4 +1,4 @@
-// Tests for the PLFS container layer: index codec (v1/v2), container
+// Tests for the PLFS container layer: index codec (v1/v2/v3), container
 // lifecycle, multi-backend droppings, label reads, extent checksums, and the
 // fault-injected retry paths.
 #include <gtest/gtest.h>
@@ -10,6 +10,7 @@
 #include "common/faults.hpp"
 #include "plfs/container.hpp"
 #include "plfs/plfs.hpp"
+#include "test_util.hpp"
 
 namespace ada::plfs {
 namespace {
@@ -95,13 +96,60 @@ TEST(IndexCodecTest, LegacyV1ImageDecodesWithoutChecksums) {
   EXPECT_FALSE(decoded[0].has_checksum()) << "v1 records carry no checksum";
 }
 
+// Frame table of an extent of `frames` equal frames after a 16-byte header.
+std::vector<std::uint64_t> uniform_table(std::size_t frames, std::uint64_t frame_bytes) {
+  std::vector<std::uint64_t> table(frames);
+  for (std::size_t f = 0; f < frames; ++f) table[f] = 16 + f * frame_bytes;
+  return table;
+}
+
+TEST(IndexCodecTest, BlockBoundsFollowTheFrameTable) {
+  // 70 frames of 10 bytes: blocks [0, 336), [336, 656), [656, 716).
+  const auto table = uniform_table(70, 10);
+  EXPECT_EQ(block_bounds(table, 716), (std::vector<std::uint64_t>{0, 336, 656, 716}));
+  // 32 frames or fewer: the extent CRC covers it, no block list.
+  EXPECT_TRUE(block_bounds(uniform_table(32, 10), 336).empty());
+  // 33 frames: the 33rd frame is a block of its own.
+  EXPECT_EQ(block_bounds(uniform_table(33, 10), 346), (std::vector<std::uint64_t>{0, 336, 346}));
+  // A table that is not strictly increasing inside the extent gets none.
+  auto lying = table;
+  lying[40] = lying[39];
+  EXPECT_TRUE(block_bounds(lying, 716).empty());
+  EXPECT_TRUE(block_bounds(table, 700).empty());  // last frame offset past the end
+}
+
+TEST(IndexCodecTest, V3RoundTripsBlockChecksums) {
+  std::vector<std::uint8_t> extent(716);
+  for (std::size_t i = 0; i < extent.size(); ++i) extent[i] = static_cast<std::uint8_t>(i * 7);
+  const auto table = uniform_table(70, 10);
+  IndexRecord record = {0, extent.size(), 0, "p", "d0", 0};
+  record.set_checksum(crc32c(extent));
+  record.set_frame_table(table);
+  record.set_block_checksums(block_checksums(extent, table));
+  ASSERT_EQ(record.block_crcs.size(), 3u);
+  EXPECT_EQ(record.block_crcs[1], crc32c(extent.data() + 336, 320));
+  const auto image = encode_index({record});
+  EXPECT_EQ(std::string(image.begin(), image.begin() + 8), "PLFSIDX3");
+  const auto decoded = decode_index(image).value();
+  ASSERT_EQ(decoded.size(), 1u);
+  EXPECT_EQ(decoded[0], record);
+}
+
+TEST(IndexCodecTest, BlockListDisagreeingWithFrameTableRejected) {
+  IndexRecord record = {0, 716, 0, "p", "d0", 0};
+  record.set_frame_table(uniform_table(70, 10));
+  record.set_block_checksums({1, 2});  // three blocks expected
+  const auto decoded = decode_index(encode_index({record}));
+  ASSERT_FALSE(decoded.is_ok());
+  EXPECT_EQ(decoded.error().code(), ErrorCode::kCorruptData);
+}
+
 // --- mount ------------------------------------------------------------------------
 
 class PlfsMountTest : public testing::Test {
  protected:
   void SetUp() override {
-    root_ = testing::TempDir() + "/plfs_test_" +
-            std::to_string(reinterpret_cast<std::uintptr_t>(this));
+    root_ = ada::test::unique_temp_dir("plfs_test_");
     fs::remove_all(root_);
     mount_ = std::make_unique<PlfsMount>(
         PlfsMount::open({{"ssd-fs", root_ + "/mnt1"}, {"hdd-fs", root_ + "/mnt2"}}).value());
@@ -236,6 +284,81 @@ TEST_F(PlfsMountTest, BitFlipOnDiskCaughtByRead) {
   ASSERT_FALSE(read.is_ok());
   EXPECT_EQ(read.error().code(), ErrorCode::kCorruptData);
   EXPECT_FALSE(mount_->read_logical("bar").is_ok());
+}
+
+// A 70-frame synthetic extent (16-byte header, 10-byte frames) appended with
+// its frame table: three checksum blocks.
+struct BlockedExtent {
+  std::vector<std::uint8_t> bytes;
+  std::vector<std::uint64_t> table;
+  IndexRecord record;
+};
+
+BlockedExtent append_blocked(PlfsMount& mount) {
+  BlockedExtent out;
+  out.table = uniform_table(70, 10);
+  out.bytes.resize(716);
+  for (std::size_t i = 0; i < out.bytes.size(); ++i) {
+    out.bytes[i] = static_cast<std::uint8_t>(i * 31 + 5);
+  }
+  EXPECT_TRUE(mount.create_container("bar").is_ok());
+  out.record = mount.append("bar", "p", 0, out.bytes, &out.table).value();
+  return out;
+}
+
+TEST_F(PlfsMountTest, AppendWithFrameTableStoresBlockChecksums) {
+  const auto extent = append_blocked(*mount_);
+  const auto records = mount_->read_index("bar").value();
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_TRUE(records[0].has_block_checksums());
+  EXPECT_EQ(records[0].block_crcs, block_checksums(extent.bytes, extent.table));
+  EXPECT_EQ(records[0].crc32c, crc32c(extent.bytes));
+
+  // An extent of one block needs no list: its extent CRC covers it.
+  const auto small = uniform_table(32, 10);
+  const std::vector<std::uint8_t> bytes(336, 0x5A);
+  EXPECT_FALSE(mount_->append("bar", "p", 0, bytes, &small).value().has_block_checksums());
+}
+
+TEST_F(PlfsMountTest, BlockReadVerifiesOnlyTheBlocksItReads) {
+  const auto extent = append_blocked(*mount_);
+  const std::string path = root_ + "/mnt1/bar/" + extent.record.dropping;
+  auto on_disk = read_file(path).value();
+  on_disk[700] ^= 0x10;  // inside block 2, [656, 716)
+  ASSERT_TRUE(write_file(path, on_disk).is_ok());
+
+  const std::uint64_t first_two[] = {0, 336, 656};
+  const auto good = mount_->read_extent(path, first_two,
+                                        std::span(extent.record.block_crcs).subspan(0, 2));
+  ASSERT_TRUE(good.is_ok()) << good.error().to_string();
+  EXPECT_EQ(good.value(),
+            std::vector<std::uint8_t>(extent.bytes.begin(), extent.bytes.begin() + 656));
+
+  const std::uint64_t last[] = {656, 716};
+  const auto bad = mount_->read_extent(path, last,
+                                       std::span(extent.record.block_crcs).subspan(2, 1));
+  ASSERT_FALSE(bad.is_ok());
+  EXPECT_EQ(bad.error().code(), ErrorCode::kCorruptData);
+  // The whole extent fails its extent CRC too.
+  EXPECT_FALSE(mount_->read_label("bar", "p").is_ok());
+}
+
+TEST_F(PlfsMountTest, ReadExtentReadsExactlyTheSpan) {
+  const auto extent = append_blocked(*mount_);
+  const std::string path = root_ + "/mnt1/bar/" + extent.record.dropping;
+  const std::uint64_t middle[] = {336, 656};
+  const auto read = mount_->read_extent(path, middle, {});
+  ASSERT_TRUE(read.is_ok());
+  EXPECT_EQ(read.value(),
+            std::vector<std::uint8_t>(extent.bytes.begin() + 336, extent.bytes.begin() + 656));
+  // A span past the end of the dropping is corruption, not a short read.
+  const std::uint64_t beyond[] = {656, 717};
+  const auto short_read = mount_->read_extent(path, beyond, {});
+  ASSERT_FALSE(short_read.is_ok());
+  EXPECT_EQ(short_read.error().code(), ErrorCode::kCorruptData);
+  // So is a descending (wrapped) span.
+  const std::uint64_t wrapped[] = {656, 336};
+  EXPECT_EQ(mount_->read_extent(path, wrapped, {}).error().code(), ErrorCode::kCorruptData);
 }
 
 // --- fault injection + retries -----------------------------------------------------

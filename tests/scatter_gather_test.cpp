@@ -22,6 +22,7 @@
 #include "storage/device.hpp"
 #include "workload/gpcr_builder.hpp"
 #include "workload/trajectory_gen.hpp"
+#include "test_util.hpp"
 
 namespace ada::core {
 namespace {
@@ -75,8 +76,7 @@ class ScatterGatherTest : public testing::Test {
   static constexpr std::uint32_t kFrames = 17;  // chunks of 3: extents 3,3,3,3,3,2
 
   void SetUp() override {
-    root_ = testing::TempDir() + "/ada_sg_test_" +
-            std::to_string(reinterpret_cast<std::uintptr_t>(this));
+    root_ = ada::test::unique_temp_dir("ada_sg_test_");
     fs::remove_all(root_);
     system_ = workload::GpcrSystemBuilder(workload::GpcrSpec::tiny()).build();
     serial_ = open_ada(/*read_threads=*/0, /*queue_depth=*/4, /*cache_bytes=*/0);

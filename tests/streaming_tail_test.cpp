@@ -48,6 +48,7 @@
 #include "plfs/fsck.hpp"
 #include "workload/gpcr_builder.hpp"
 #include "workload/trajectory_gen.hpp"
+#include "test_util.hpp"
 
 namespace ada::core {
 namespace {
@@ -117,8 +118,7 @@ class StreamingTailTest : public testing::Test {
  protected:
   void SetUp() override {
     fault::Injector::global().disarm_all();
-    root_ = testing::TempDir() + "/ada_stream_" +
-            std::to_string(reinterpret_cast<std::uintptr_t>(this));
+    root_ = ada::test::unique_temp_dir("ada_stream_");
     fs::remove_all(root_);
     system_ = workload::GpcrSystemBuilder(workload::GpcrSpec::tiny()).build();
     labels_ = categorize_protein_misc(system_);

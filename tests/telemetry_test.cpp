@@ -31,6 +31,7 @@
 #include "obs/warn.hpp"
 #include "workload/gpcr_builder.hpp"
 #include "workload/trajectory_gen.hpp"
+#include "test_util.hpp"
 
 namespace ada::obs {
 namespace {
@@ -40,8 +41,7 @@ namespace fs = std::filesystem;
 class TelemetryTest : public testing::Test {
  protected:
   void SetUp() override {
-    root_ = testing::TempDir() + "/ada_telemetry_" +
-            std::to_string(reinterpret_cast<std::uintptr_t>(this));
+    root_ = ada::test::unique_temp_dir("ada_telemetry_");
     fs::remove_all(root_);
     fs::create_directories(root_);
     reset_all();
@@ -505,8 +505,7 @@ namespace fs = std::filesystem;
 class TelemetryE2eTest : public testing::Test {
  protected:
   void SetUp() override {
-    root_ = testing::TempDir() + "/ada_telemetry_e2e_" +
-            std::to_string(reinterpret_cast<std::uintptr_t>(this));
+    root_ = ada::test::unique_temp_dir("ada_telemetry_e2e_");
     fs::remove_all(root_);
     fs::create_directories(root_);
     system_ = workload::GpcrSystemBuilder(workload::GpcrSpec::tiny()).build();

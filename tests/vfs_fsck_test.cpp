@@ -14,6 +14,7 @@
 #include "plfs/fsck.hpp"
 #include "workload/gpcr_builder.hpp"
 #include "workload/trajectory_gen.hpp"
+#include "test_util.hpp"
 
 namespace ada::core {
 namespace {
@@ -23,8 +24,7 @@ namespace fs = std::filesystem;
 class VfsFsckTest : public testing::Test {
  protected:
   void SetUp() override {
-    root_ = testing::TempDir() + "/ada_vfs_test_" +
-            std::to_string(reinterpret_cast<std::uintptr_t>(this));
+    root_ = ada::test::unique_temp_dir("ada_vfs_test_");
     fs::remove_all(root_);
     system_ = workload::GpcrSystemBuilder(workload::GpcrSpec::tiny()).build();
 
@@ -354,6 +354,117 @@ TEST_F(VfsFsckTest, ChecksumBadExtentQuarantinedOthersSurvive) {
   EXPECT_TRUE(report.orphan_droppings.empty()) << "quarantined files are not orphans";
   EXPECT_FALSE(ada_->query("bar.xtc", kProteinTag).is_ok());
   EXPECT_EQ(ada_->query("bar.xtc", kMiscTag).value(), misc_before);
+}
+
+// A flipped byte inside one 32-frame checksum block fails only that block:
+// fsck names it, ranges over the other blocks still serve the right bytes,
+// and a range touching it fails without ever reaching the cache.
+TEST_F(VfsFsckTest, BlockCorruptionIsPinnedToItsBlock) {
+  ASSERT_TRUE(ada_->ingest(system_, make_xtc(70), "bar.xtc").is_ok());
+  const auto truth = ada_->query("bar.xtc", kProteinTag).value();
+  const auto slice = [&](std::uint32_t begin, std::uint32_t end) {
+    return ada_->query("bar.xtc", kProteinTag, FrameRange{begin, end, 1}).value();
+  };
+  const auto head = slice(0, 10);
+  const auto tail = slice(64, 70);
+  ASSERT_FALSE(head.empty());
+
+  const auto locations = Indexer(ada_->mount()).locate("bar.xtc", kProteinTag).value();
+  ASSERT_EQ(locations.size(), 1u);
+  ASSERT_EQ(locations[0].block_crcs.size(), 3u) << "70 frames: blocks of 32, 32 and 6";
+  const std::string path = locations[0].host_path;
+  auto bytes = read_file(path).value();
+  bytes[locations[0].block_bounds[1] + 100] ^= 0x20;  // inside block 1: frames 32..63
+  ASSERT_TRUE(write_file(path, bytes).is_ok());
+
+  const auto report = plfs::verify_container(ada_->mount(), "bar.xtc").value();
+  EXPECT_FALSE(report.clean());
+  ASSERT_EQ(report.checksum_bad_records.size(), 1u);
+  EXPECT_EQ(report.checksum_bad_records[0].label, kProteinTag);
+  ASSERT_EQ(report.bad_blocks.size(), 1u);
+  EXPECT_EQ(report.bad_blocks[0].block, 1u);
+  EXPECT_EQ(path, ada_->mount().dropping_host_path(report.bad_blocks[0].backend, "bar.xtc",
+                                                   report.bad_blocks[0].dropping));
+
+  // Uncached and cached readers alike: other blocks serve, block 1 fails.
+  AdaConfig cached_config;
+  cached_config.placement = PlacementPolicy::active_on_ssd(0, 1);
+  cached_config.cache_bytes = 64 << 20;
+  Ada cached(
+      plfs::PlfsMount::open({{"ssd", root_ + "/ssd"}, {"hdd", root_ + "/hdd"}}).value(),
+      cached_config);
+  for (const Ada* reader : {ada_.get(), &cached}) {
+    EXPECT_EQ(reader->query("bar.xtc", kProteinTag, FrameRange{0, 10, 1}).value(), head);
+    EXPECT_EQ(reader->query("bar.xtc", kProteinTag, FrameRange{64, 70, 1}).value(), tail);
+    const auto bad = reader->query("bar.xtc", kProteinTag, FrameRange{30, 40, 1});
+    ASSERT_FALSE(bad.is_ok());
+    EXPECT_EQ(bad.error().code(), ErrorCode::kCorruptData);
+    const auto whole = reader->query("bar.xtc", kProteinTag);
+    ASSERT_FALSE(whole.is_ok()) << "the whole subset still fails its extent CRC";
+    EXPECT_EQ(whole.error().code(), ErrorCode::kCorruptData);
+  }
+  // Only the two good blocks (0 and 2) were ever cached: no failed fill
+  // left an entry behind.
+  EXPECT_EQ(cached.query_cache()->stats().entries, 2u);
+
+  // Restoring the byte makes block 1 readable again, with the right bytes.
+  bytes[locations[0].block_bounds[1] + 100] ^= 0x20;
+  ASSERT_TRUE(write_file(path, bytes).is_ok());
+  const auto healed = cached.query("bar.xtc", kProteinTag, FrameRange{30, 40, 1}).value();
+  const auto expected = ada_->query("bar.xtc", kProteinTag, FrameRange{30, 40, 1}).value();
+  EXPECT_EQ(healed, expected);
+  EXPECT_EQ(ada_->query("bar.xtc", kProteinTag).value(), truth);
+}
+
+// The index encoded in the v2 layout ("PLFSIDX2": frame tables, no block
+// checksums) still range-queries byte-identically, through whole-extent
+// reads verified by the extent CRC.
+TEST_F(VfsFsckTest, V2IndexImageRangeQueriesByteIdentically) {
+  ASSERT_TRUE(ada_->ingest(system_, make_xtc(40), "bar.xtc").is_ok());
+  const std::vector<FrameRange> ranges = {
+      {0, 10, 1}, {30, 36, 1}, {5, 40, 4}, {39, 40, 1}, {0, 40, 1}};
+  std::vector<std::vector<std::uint8_t>> expected;
+  for (const FrameRange& range : ranges) {
+    expected.push_back(ada_->query("bar.xtc", kProteinTag, range).value());
+  }
+  const auto whole = ada_->query("bar.xtc", kProteinTag).value();
+
+  ByteWriter w;
+  const std::uint8_t magic[8] = {'P', 'L', 'F', 'S', 'I', 'D', 'X', '2'};
+  w.put_bytes(magic);
+  const auto records = ada_->mount().read_index("bar.xtc").value();
+  w.put_u32_le(static_cast<std::uint32_t>(records.size()));
+  bool any_blocks = false;
+  for (const plfs::IndexRecord& r : records) {
+    any_blocks = any_blocks || r.has_block_checksums();
+    w.put_u64_le(r.logical_offset);
+    w.put_u64_le(r.length);
+    w.put_u32_le(r.backend);
+    w.put_string_le(r.label);
+    w.put_string_le(r.dropping);
+    w.put_u64_le(r.physical_offset);
+    w.put_u32_le(r.crc32c);
+    w.put_u8(r.flags & static_cast<std::uint8_t>(~plfs::IndexRecord::kHasBlockChecksums));
+    if (r.has_frame_table()) {
+      w.put_u32_le(static_cast<std::uint32_t>(r.frame_offsets.size()));
+      for (const std::uint64_t off : r.frame_offsets) w.put_u64_le(off);
+    }
+  }
+  ASSERT_TRUE(any_blocks) << "the v3 index carried block lists to strip";
+  ASSERT_TRUE(write_file(root_ + "/ssd/bar.xtc/index.plfs", w.take()).is_ok());
+
+  Ada reader(
+      plfs::PlfsMount::open({{"ssd", root_ + "/ssd"}, {"hdd", root_ + "/hdd"}}).value(),
+      AdaConfig{});
+  const auto locations = Indexer(reader.mount()).locate("bar.xtc", kProteinTag).value();
+  ASSERT_EQ(locations.size(), 1u);
+  EXPECT_TRUE(locations[0].block_crcs.empty());
+  EXPECT_TRUE(locations[0].has_frame_table);
+  for (std::size_t i = 0; i < ranges.size(); ++i) {
+    EXPECT_EQ(reader.query("bar.xtc", kProteinTag, ranges[i]).value(), expected[i]) << i;
+  }
+  EXPECT_EQ(reader.query("bar.xtc", kProteinTag).value(), whole);
+  EXPECT_TRUE(plfs::verify_container(reader.mount(), "bar.xtc").value().clean());
 }
 
 TEST_F(VfsFsckTest, RepairIsIdempotentAfterQuarantine) {

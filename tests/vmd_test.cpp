@@ -18,6 +18,7 @@
 #include "vmd/replay.hpp"
 #include "workload/gpcr_builder.hpp"
 #include "workload/trajectory_gen.hpp"
+#include "test_util.hpp"
 
 namespace ada::vmd {
 namespace {
@@ -300,8 +301,7 @@ TEST(ReplayTest, CacheNeverExceedsCapacity) {
 class MolSessionTest : public testing::Test {
  protected:
   void SetUp() override {
-    root_ = testing::TempDir() + "/vmd_mol_test_" +
-            std::to_string(reinterpret_cast<std::uintptr_t>(this));
+    root_ = ada::test::unique_temp_dir("vmd_mol_test_");
     fs::remove_all(root_);
     fs::create_directories(root_);
     system_ = tiny_system();

@@ -74,10 +74,19 @@ int main(int argc, char** argv) {
 
   if (args.has("fsck") || args.has("repair")) {
     const auto report = tools::must(plfs::verify_container(middleware.mount(), logical), "fsck");
-    std::fprintf(report_out, "\nfsck: %s (%zu broken records, %zu orphans, extents %s)\n",
+    std::fprintf(report_out,
+                 "\nfsck: %s (%zu broken records, %zu checksum-bad, %zu orphans, extents %s)\n",
                 report.clean() ? "clean" : "NOT CLEAN", report.broken_records.size(),
-                report.orphan_droppings.size(),
+                report.checksum_bad_records.size(), report.orphan_droppings.size(),
                 report.extents_complete ? "complete" : "INCOMPLETE");
+    for (const auto& record : report.checksum_bad_records) {
+      std::fprintf(report_out, "  checksum mismatch: %s\n", record.dropping.c_str());
+    }
+    for (const auto& bad : report.bad_blocks) {
+      std::fprintf(report_out, "  checksum mismatch: %s block %zu (from extent frame %zu)\n",
+                   bad.dropping.c_str(), bad.block,
+                   bad.block * static_cast<std::size_t>(plfs::kFrameBlock));
+    }
     if (args.has("repair") && !report.clean()) {
       const auto actions =
           tools::must(plfs::repair_container(middleware.mount(), logical), "repair");

@@ -97,6 +97,47 @@ echo "$RANGE_OUT" | grep -q '2 frames' || {
     exit 1
 }
 
+echo "== block checksum smoke: a flipped byte fails only the ranges over its block =="
+# 40 frames: the protein extent has two 32-frame checksum blocks.  Flip the
+# last byte of its dropping (block 1): a range over block 0 still serves
+# the same bytes, a range over block 1 fails, and fsck names the block.
+"$BUILD_DIR/tools/ada-gen" --out "$WORK/gen_blocks" --size tiny --frames 40 >/dev/null
+"$BUILD_DIR/tools/ada-ingest" --pdb "$WORK/gen_blocks/system.pdb" \
+    --xtc "$WORK/gen_blocks/traj.xtc" --ssd "$WORK/ssd_blocks" --hdd "$WORK/hdd_blocks" \
+    --name traj.xtc >/dev/null
+"$BUILD_DIR/tools/ada-query" --ssd "$WORK/ssd_blocks" --hdd "$WORK/hdd_blocks" --name traj.xtc \
+    --tag p --frames 0:10 --out "$WORK/blocks_before.raw" >/dev/null
+DROPPING="$(find "$WORK/ssd_blocks" "$WORK/hdd_blocks" -name 'dropping.p.*' | head -n 1)"
+[ -n "$DROPPING" ] || { echo "FAIL: no protein dropping found" >&2; exit 1; }
+LAST=$(( $(stat -c %s "$DROPPING") - 1 ))
+BYTE="$(od -An -tu1 -j "$LAST" -N1 "$DROPPING" | tr -d ' ')"
+# shellcheck disable=SC2059
+printf "$(printf '\\%03o' $(( BYTE ^ 1 )))" | dd of="$DROPPING" bs=1 seek="$LAST" conv=notrunc status=none
+"$BUILD_DIR/tools/ada-query" --ssd "$WORK/ssd_blocks" --hdd "$WORK/hdd_blocks" --name traj.xtc \
+    --tag p --frames 0:10 --out "$WORK/blocks_after.raw" >/dev/null || {
+    echo "FAIL: a range over the intact block failed after a flip in another block" >&2
+    exit 1
+}
+cmp "$WORK/blocks_before.raw" "$WORK/blocks_after.raw" || {
+    echo "FAIL: a range over the intact block changed after a flip in another block" >&2
+    exit 1
+}
+if "$BUILD_DIR/tools/ada-query" --ssd "$WORK/ssd_blocks" --hdd "$WORK/hdd_blocks" \
+    --name traj.xtc --tag p --frames 32:40 >/dev/null 2>&1; then
+    echo "FAIL: a range over the flipped block was served" >&2
+    exit 1
+fi
+set +e
+FSCK_OUT="$("$BUILD_DIR/tools/ada-inspect" --ssd "$WORK/ssd_blocks" --hdd "$WORK/hdd_blocks" \
+    --name traj.xtc --fsck 2>&1)"
+FSCK_EXIT=$?
+set -e
+[ "$FSCK_EXIT" -ne 0 ] && echo "$FSCK_OUT" | grep -q "$(basename "$DROPPING") block 1" || {
+    echo "FAIL: ada-inspect --fsck should name block 1 of $(basename "$DROPPING") (exit $FSCK_EXIT)" >&2
+    echo "$FSCK_OUT" >&2
+    exit 1
+}
+
 echo "== telemetry smoke: --telemetry/--profile -> ada-stats render + openmetrics =="
 # Re-run the ingest with the telemetry sampler and profiler armed; the JSONL
 # series must render and the folded-stack profile must exist.
