@@ -146,13 +146,15 @@ Result<std::vector<std::uint8_t>> read_file_range(const std::string& path,
     return errno == ENOENT ? not_found("cannot open " + path)
                            : io_error("cannot open " + path + ": " + std::strerror(errno));
   }
+  struct Closer {
+    int fd;
+    ~Closer() { ::close(fd); }
+  } const closer{fd};
   // Size the buffer by what the file holds, so a lying length fails short
   // instead of allocating it.
   struct stat st {};
   if (::fstat(fd, &st) != 0) {
-    const int err = errno;
-    ::close(fd);
-    return io_error("fstat failed on " + path + ": " + std::strerror(err));
+    return io_error("fstat failed on " + path + ": " + std::strerror(errno));
   }
   const auto size = static_cast<std::uint64_t>(st.st_size);
   std::vector<std::uint8_t> data(
@@ -162,15 +164,10 @@ Result<std::vector<std::uint8_t>> read_file_range(const std::string& path,
     const ssize_t n = ::pread(fd, data.data() + done, data.size() - done,
                               static_cast<off_t>(offset + done));
     if (n < 0 && errno == EINTR) continue;
-    if (n < 0) {
-      const int err = errno;
-      ::close(fd);
-      return io_error("pread failed on " + path + ": " + std::strerror(err));
-    }
+    if (n < 0) return io_error("pread failed on " + path + ": " + std::strerror(errno));
     if (n == 0) break;  // end of file
     done += static_cast<std::size_t>(n);
   }
-  ::close(fd);
   data.resize(done);
   return data;
 }

@@ -50,6 +50,9 @@ using CrcFn = std::uint32_t (*)(const void*, std::size_t, std::uint32_t) noexcep
 
 CrcFn pick_impl() noexcept {
 #ifdef ADA_CRC32C_SSE42
+  // Probe explicitly: a static initializer may call crc32c() before
+  // libgcc runs its own CPU probe.
+  __builtin_cpu_init();
   if (__builtin_cpu_supports("sse4.2")) return &crc32c_sse42;
 #endif
   return &crc32c_table;
@@ -69,11 +72,6 @@ std::uint32_t crc32c_table(const void* data, std::size_t size, std::uint32_t crc
 std::uint32_t crc32c(const void* data, std::size_t size, std::uint32_t crc) noexcept {
   static const CrcFn impl = pick_impl();
   return impl(data, size, crc);
-}
-
-bool crc32c_hardware() noexcept {
-  static const bool hardware = pick_impl() != &crc32c_table;
-  return hardware;
 }
 
 }  // namespace ada

@@ -30,7 +30,4 @@ inline std::uint32_t crc32c(const std::vector<std::uint8_t>& bytes,
 /// The portable table-driven path crc32c() falls back to; same contract.
 std::uint32_t crc32c_table(const void* data, std::size_t size, std::uint32_t crc = 0) noexcept;
 
-/// True when crc32c() runs on the CPU's CRC32C instruction.
-bool crc32c_hardware() noexcept;
-
 }  // namespace ada

@@ -267,30 +267,28 @@ Result<std::vector<std::uint8_t>> PlfsMount::read_extent(
     std::span<const std::uint32_t> crcs) const {
   // Bounds come from the on-disk index: a wrapped offset + length shows up
   // as a descending span.
-  if (bounds.size() < 2 || bounds.back() < bounds.front() ||
+  if (bounds.size() < 2 || !std::is_sorted(bounds.begin(), bounds.end()) ||
       (!crcs.empty() && crcs.size() + 1 != bounds.size())) {
     return corrupt_data("bad extent bounds for " + host_path);
   }
   const std::uint64_t offset = bounds.front();
   const std::uint64_t length = bounds.back() - offset;
   for (int attempt = 1;; ++attempt) {
-    ADA_ASSIGN_OR_RETURN(auto span, retry_sync("plfs_read_dropping", retry_policy_, [&] {
+    ADA_ASSIGN_OR_RETURN(auto bytes, retry_sync("plfs_read_dropping", retry_policy_, [&] {
                            return read_dropping_span(host_path, offset, length);
                          }));
-    if (span.size() != length) {
+    if (bytes.size() != length) {
       return corrupt_data("dropping " + host_path + " shorter than its index record");
     }
     std::size_t bad = crcs.size();
     std::uint32_t actual = 0;
     for (std::size_t i = 0; i < crcs.size() && bad == crcs.size(); ++i) {
-      const std::uint64_t begin = bounds[i] - offset;
-      const std::uint64_t end = bounds[i + 1] - offset;
-      if (end < begin || end > length) return corrupt_data("bad extent bounds for " + host_path);
-      actual = ada::crc32c(span.data() + begin, end - begin);
-      ADA_OBS_COUNT("plfs.crc.bytes", end - begin);
+      const std::uint64_t piece = bounds[i + 1] - bounds[i];
+      actual = ada::crc32c(bytes.data() + (bounds[i] - offset), piece);
+      ADA_OBS_COUNT("plfs.crc.bytes", piece);
       if (actual != crcs[i]) bad = i;
     }
-    if (bad == crcs.size()) return span;
+    if (bad == crcs.size()) return bytes;
     ADA_OBS_COUNT("plfs.crc_mismatch", 1);
     if (attempt >= retry_policy_.max_attempts) {
       return corrupt_data("checksum mismatch on " + host_path + " bytes [" +
