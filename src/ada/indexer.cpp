@@ -52,8 +52,13 @@ Result<std::vector<DatasetLocation>> Indexer::locate(const std::string& logical_
     location.frame_base = record.frame_base;
     location.frame_count = record.frame_count;
     if (record.has_block_checksums()) {
-      location.block_bounds = plfs::block_bounds(location.frame_offsets, record.length);
-      location.block_crcs = std::move(record.block_crcs);
+      // A table that does not partition the extent has no usable blocks:
+      // the record then reads whole, under its extent CRC.
+      auto bounds = plfs::block_bounds(location.frame_offsets, record.length);
+      if (bounds.size() == record.block_crcs.size() + 1) {
+        location.block_bounds = std::move(bounds);
+        location.block_crcs = std::move(record.block_crcs);
+      }
     }
     out.push_back(std::move(location));
   }
@@ -88,13 +93,6 @@ Result<std::vector<std::uint8_t>> IoRetriever::read(const DatasetLocation& locat
   return mount_.read_extent(
       location.host_path, bounds,
       std::span(location.block_crcs).subspan(read.first_block, read.end_block - read.first_block));
-}
-
-Result<std::vector<std::vector<std::uint8_t>>> IoRetriever::fetch(
-    std::span<const DatasetLocation> locations) const {
-  std::vector<ExtentRead> reads(locations.size());
-  for (std::size_t i = 0; i < reads.size(); ++i) reads[i].location = i;
-  return fetch(locations, reads);
 }
 
 Result<std::vector<std::vector<std::uint8_t>>> IoRetriever::fetch(

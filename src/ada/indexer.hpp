@@ -58,6 +58,13 @@ struct ExtentRead {
   }
 };
 
+/// One whole-extent read of each of `count` located extents, in order.
+inline std::vector<ExtentRead> whole_reads(std::size_t count) {
+  std::vector<ExtentRead> reads(count);
+  for (std::size_t i = 0; i < count; ++i) reads[i].location = i;
+  return reads;
+}
+
 class Indexer {
  public:
   explicit Indexer(const plfs::PlfsMount& mount) : mount_(mount) {}
@@ -104,10 +111,6 @@ class IoRetriever {
   /// returned.
   Result<std::vector<std::vector<std::uint8_t>>> fetch(
       std::span<const DatasetLocation> locations, std::span<const ExtentRead> reads) const;
-
-  /// Every located extent, whole, in location order.
-  Result<std::vector<std::vector<std::uint8_t>>> fetch(
-      std::span<const DatasetLocation> locations) const;
 
  private:
   Result<std::vector<std::uint8_t>> read(const DatasetLocation& location,

@@ -329,9 +329,8 @@ Result<std::vector<std::vector<std::uint8_t>>> Ada::fetch(
   const obs::ScopedTimer retrieve_span("retrieve");
   const obs::TraceSpan retrieve_trace("retrieve", tag);
   const obs::TraceSpan read_trace("plfs_read", tag);
-  const IoRetriever retriever(mount_,
-                              RetrieveOptions{config_.read_threads, config_.read_queue_depth});
-  return reads.empty() ? retriever.fetch(locations) : retriever.fetch(locations, reads);
+  return IoRetriever(mount_, RetrieveOptions{config_.read_threads, config_.read_queue_depth})
+      .fetch(locations, reads);
 }
 
 Result<Ada::Planned> Ada::read_subset(const std::string& logical_name, const Tag& tag,
@@ -355,7 +354,7 @@ Result<Ada::Planned> Ada::read_subset(const std::string& logical_name, const Tag
     ADA_ASSIGN_OR_RETURN(own, Indexer(mount_).locate(logical_name, tag));
     located = &own;
   }
-  ADA_ASSIGN_OR_RETURN(auto extents, fetch(*located, {}, tag));
+  ADA_ASSIGN_OR_RETURN(auto extents, fetch(*located, whole_reads(located->size()), tag));
   std::vector<std::uint8_t> bytes = concat(std::move(extents));
   if (cache_ == nullptr) return Planned{nullptr, std::move(bytes)};
   // Fill only from this CRC-verified read: a faulted read errors out above
@@ -668,7 +667,8 @@ Result<std::vector<std::uint8_t>> Ada::query_all(const std::string& logical_name
 
 Result<LabelMap> Ada::labels(const std::string& logical_name) const {
   ADA_ASSIGN_OR_RETURN(const auto locations, Indexer(mount_).locate(logical_name, kLabelFileTag));
-  ADA_ASSIGN_OR_RETURN(auto extents, IoRetriever(mount_).fetch(locations));
+  ADA_ASSIGN_OR_RETURN(auto extents,
+                       IoRetriever(mount_).fetch(locations, whole_reads(locations.size())));
   const auto bytes = concat(std::move(extents));
   return decode_label_file(std::string(bytes.begin(), bytes.end()));
 }

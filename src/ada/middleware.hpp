@@ -301,7 +301,7 @@ class Ada {
   Result<Planned> read_frames(const std::string& logical_name, const Tag& tag,
                               const FrameSpan& frames) const;
   /// The planner's fetch stage: each planned read as a separate verified
-  /// image; empty `reads` fetches every location whole.
+  /// image.
   Result<std::vector<std::vector<std::uint8_t>>> fetch(std::span<const DatasetLocation> locations,
                                                        std::span<const ExtentRead> reads,
                                                        const Tag& tag) const;

@@ -117,10 +117,13 @@ Result<std::vector<IndexRecord>> decode_index(std::span<const std::uint8_t> imag
       }
       if (record.has_block_checksums()) {
         ADA_ASSIGN_OR_RETURN(const std::uint32_t blocks, r.get_u32_le());
-        // A block list must match the frame table it partitions: readers
-        // index one by the other.
-        if (blocks != block_bounds(record.frame_offsets, record.length).size() - 1 ||
-            blocks > r.remaining() / 4) {
+        // One CRC per kFrameBlock frames of the table, none for a table that
+        // fits one block.  Only the count is checked here: a table that does
+        // not partition the extent still decodes, readers verify its record
+        // whole, and fsck flags that one record as broken.
+        const std::size_t frames = record.frame_offsets.size();
+        const std::size_t expected = frames > kFrameBlock ? (frames - 1) / kFrameBlock + 1 : 0;
+        if (blocks != expected || blocks > r.remaining() / 4) {
           return corrupt_data("block checksum count disagrees with the frame table");
         }
         record.block_crcs.resize(blocks);

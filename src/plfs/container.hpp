@@ -111,7 +111,9 @@ std::vector<std::uint8_t> encode_index(const std::vector<IndexRecord>& records);
 /// and legacy v1 ("PLFSIDX1") images; v1 records decode with no checksum
 /// (readers then skip verification for those extents), v1/v2 records with
 /// no block checksums (readers verify the whole extent).  A block list whose
-/// length disagrees with the record's frame table is kCorruptData.
+/// length is not one per kFrameBlock frames of the record's frame table is
+/// kCorruptData; whether the table's offsets partition the extent is left
+/// to readers and fsck, so one lying table cannot hide the other records.
 Result<std::vector<IndexRecord>> decode_index(std::span<const std::uint8_t> image);
 
 /// Live-stream publication state of a container ("stream.plfs", next to the

@@ -273,30 +273,37 @@ Result<std::vector<std::uint8_t>> PlfsMount::read_extent(
   }
   const std::uint64_t offset = bounds.front();
   const std::uint64_t length = bounds.back() - offset;
-  for (int attempt = 1;; ++attempt) {
-    ADA_ASSIGN_OR_RETURN(auto bytes, retry_sync("plfs_read_dropping", retry_policy_, [&] {
-                           return read_dropping_span(host_path, offset, length);
-                         }));
-    if (bytes.size() != length) {
+  // One retry loop for transient read errors and checksum mismatches alike
+  // (an in-flight corruption need not recur): a mismatch travels through
+  // retry_sync as a transient error, and leaves as kCorruptData when the
+  // last attempt still mismatched.
+  std::string mismatch;
+  auto bytes = retry_sync("plfs_read_dropping", retry_policy_,
+                          [&]() -> Result<std::vector<std::uint8_t>> {
+    mismatch.clear();
+    ADA_ASSIGN_OR_RETURN(auto data, read_dropping_span(host_path, offset, length));
+    if (data.size() != length) {
       return corrupt_data("dropping " + host_path + " shorter than its index record");
     }
-    std::size_t bad = crcs.size();
-    std::uint32_t actual = 0;
-    for (std::size_t i = 0; i < crcs.size() && bad == crcs.size(); ++i) {
+    for (std::size_t i = 0; i < crcs.size(); ++i) {
       const std::uint64_t piece = bounds[i + 1] - bounds[i];
-      actual = ada::crc32c(bytes.data() + (bounds[i] - offset), piece);
+      const std::uint32_t actual = ada::crc32c(data.data() + (bounds[i] - offset), piece);
       ADA_OBS_COUNT("plfs.crc.bytes", piece);
-      if (actual != crcs[i]) bad = i;
+      if (actual != crcs[i]) {
+        mismatch = "checksum mismatch on " + host_path + " bytes [" +
+                   std::to_string(bounds[i]) + ", " + std::to_string(bounds[i + 1]) +
+                   "): stored " + std::to_string(crcs[i]) + ", computed " +
+                   std::to_string(actual);
+        return io_error(mismatch);
+      }
     }
-    if (bad == crcs.size()) return bytes;
+    return data;
+  });
+  if (!bytes.is_ok() && !mismatch.empty()) {
     ADA_OBS_COUNT("plfs.crc_mismatch", 1);
-    if (attempt >= retry_policy_.max_attempts) {
-      return corrupt_data("checksum mismatch on " + host_path + " bytes [" +
-                          std::to_string(bounds[bad]) + ", " + std::to_string(bounds[bad + 1]) +
-                          "): stored " + std::to_string(crcs[bad]) + ", computed " +
-                          std::to_string(actual));
-    }
+    return corrupt_data(std::move(mismatch));
   }
+  return bytes;
 }
 
 Result<std::vector<std::uint8_t>> PlfsMount::read_records(const std::string& logical_name,

@@ -79,9 +79,11 @@ class PlfsMount {
   /// block run is one piece per checksum block.  Empty `crcs` reads
   /// unverified (legacy v1 records store none).  A short dropping or a
   /// checksum mismatch is kCorruptData, never silently served bytes; a
-  /// mismatch is re-read up to the retry policy's attempt count first, since
-  /// an in-flight corruption may not recur.  Counts plfs.read.calls /
-  /// plfs.read.bytes per pread and plfs.crc.bytes per verified byte.
+  /// mismatch is first retried like a transient read error (same attempts,
+  /// backoff and retry.* counters), since an in-flight corruption may not
+  /// recur.  Counts plfs.read.calls / plfs.read.bytes per pread,
+  /// plfs.crc.bytes per verified byte and plfs.crc_mismatch once per read
+  /// that fails its checksum.
   Result<std::vector<std::uint8_t>> read_extent(const std::string& host_path,
                                                 std::span<const std::uint64_t> bounds,
                                                 std::span<const std::uint32_t> crcs) const;

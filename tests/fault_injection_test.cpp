@@ -15,6 +15,8 @@
 #include "common/result.hpp"
 #include "common/retry.hpp"
 #include "common/rng.hpp"
+#include "obs/export.hpp"
+#include "obs/metrics.hpp"
 #include "plfs/plfs.hpp"
 #include "test_util.hpp"
 
@@ -335,11 +337,20 @@ TEST_F(FaultInjectionTest, CorruptBlockReadIsCaughtRetriedAndNeverServed) {
     Schedule always = Schedule::corrupt_read(1, 0.3);
     always.trigger = Schedule::Trigger::kAlways;
     const ScopedFault every("plfs.read_dropping", always);
+    obs::reset_all();
+    obs::set_enabled(true);
     const auto read = mount.read_extent(path, block1, crc1);
+    obs::set_enabled(false);
     ASSERT_FALSE(read.is_ok());
     EXPECT_EQ(read.error().code(), ErrorCode::kCorruptData);
+    // One retry loop: max_attempts reads in all, each re-read counted as a
+    // retry, and the failed read counted once as a mismatch.
     EXPECT_EQ(Injector::global().hits("plfs.read_dropping"),
               static_cast<std::uint64_t>(fast.max_attempts));
+    const obs::Registry& registry = obs::Registry::global();
+    EXPECT_EQ(registry.counter_value("retry.attempts"),
+              static_cast<std::uint64_t>(fast.max_attempts - 1));
+    EXPECT_EQ(registry.counter_value("plfs.crc_mismatch"), 1u);
   }
   std::filesystem::remove_all(root);
 }

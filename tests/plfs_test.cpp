@@ -144,6 +144,21 @@ TEST(IndexCodecTest, BlockListDisagreeingWithFrameTableRejected) {
   EXPECT_EQ(decoded.error().code(), ErrorCode::kCorruptData);
 }
 
+TEST(IndexCodecTest, LyingFrameTableWithBlockListStillDecodes) {
+  // The table no longer partitions the extent, but the block count matches
+  // its frame count: the index decodes (fsck flags the record, readers fall
+  // back to the whole extent) instead of failing every record with it.
+  IndexRecord record = {0, 716, 0, "p", "d0", 0};
+  auto table = uniform_table(70, 10);
+  table[40] = table[39];
+  record.set_frame_table(table);
+  record.set_block_checksums({1, 2, 3});
+  EXPECT_TRUE(block_bounds(table, 716).empty());
+  const auto decoded = decode_index(encode_index({record}));
+  ASSERT_TRUE(decoded.is_ok()) << decoded.error().to_string();
+  EXPECT_EQ(decoded.value()[0], record);
+}
+
 // --- mount ------------------------------------------------------------------------
 
 class PlfsMountTest : public testing::Test {
