@@ -389,72 +389,49 @@ TEST_F(FrameRangeTest, FsckAcceptsHealthyFrameTables) {
 }
 
 TEST_F(FrameRangeTest, FsckFlagsAndRepairsLyingFrameTables) {
-  auto ada = open_ada("fsck_bad", true, 0);
-  ASSERT_TRUE(ada->ingest(system_, make_xtc(8), "bar.xtc").is_ok());
+  // 8 frames: no block checksum list.  40 frames: the record carries one,
+  // and the index must still decode, so the other tags stay readable and
+  // fsck can name the damaged record for repair to drop.
+  for (const std::uint32_t frames : {8u, 40u}) {
+    SCOPED_TRACE(frames);
+    auto ada = open_ada("fsck_bad_" + std::to_string(frames), true, 0);
+    ASSERT_TRUE(ada->ingest(system_, make_xtc(frames), "bar.xtc").is_ok());
 
-  // Corrupt the protein record's table: a non-monotonic entry and an
-  // offset past the extent.
-  auto records = ada->mount().read_index("bar.xtc").value();
-  std::size_t corrupted = 0;
-  for (auto& record : records) {
-    if (record.label != kProteinTag || !record.has_frame_table()) continue;
-    auto table = record.frame_offsets;
-    ASSERT_GE(table.size(), 2u);
-    table[1] = table[0];                      // not strictly increasing
-    table.back() = record.length + 1000;      // out of bounds
-    record.set_frame_table(std::move(table));
-    ++corrupted;
+    // Corrupt the protein record's table: a non-monotonic entry and an
+    // offset past the extent.
+    auto records = ada->mount().read_index("bar.xtc").value();
+    std::size_t corrupted = 0;
+    for (auto& record : records) {
+      if (record.label != kProteinTag || !record.has_frame_table()) continue;
+      EXPECT_EQ(record.has_block_checksums(), frames > plfs::kFrameBlock);
+      auto table = record.frame_offsets;
+      ASSERT_GE(table.size(), 2u);
+      table[1] = table[0];                  // not strictly increasing
+      table.back() = record.length + 1000;  // out of bounds
+      record.set_frame_table(std::move(table));
+      ++corrupted;
+    }
+    ASSERT_GT(corrupted, 0u);
+    ASSERT_TRUE(ada->mount().rewrite_index("bar.xtc", records).is_ok());
+
+    const auto report = plfs::verify_container(ada->mount(), "bar.xtc");
+    ASSERT_TRUE(report.is_ok()) << report.error().to_string();
+    EXPECT_FALSE(report.value().clean());
+    EXPECT_EQ(report.value().broken_records.size(), corrupted);
+    const auto tags = ada->tags("bar.xtc").value();
+    ASSERT_GT(tags.size(), 1u);
+    for (const Tag& tag : tags) {
+      if (tag != kProteinTag) EXPECT_TRUE(ada->query("bar.xtc", tag).is_ok()) << tag;
+    }
+
+    // A range query on the damaged container must return a Status (any
+    // outcome but a crash/overread); after repair the record is gone and
+    // the query fails cleanly.
+    (void)ada->query("bar.xtc", kProteinTag, FrameRange{0, frames, 1});
+    ASSERT_TRUE(plfs::repair_container(ada->mount(), "bar.xtc").is_ok());
+    const auto after = plfs::verify_container(ada->mount(), "bar.xtc").value();
+    EXPECT_TRUE(after.broken_records.empty());
   }
-  ASSERT_GT(corrupted, 0u);
-  ASSERT_TRUE(ada->mount().rewrite_index("bar.xtc", records).is_ok());
-
-  const auto report = plfs::verify_container(ada->mount(), "bar.xtc").value();
-  EXPECT_FALSE(report.clean());
-  EXPECT_EQ(report.broken_records.size(), corrupted);
-
-  // A range query on the damaged container must return a Status (any
-  // outcome but a crash/overread); after repair the record is gone and the
-  // query fails cleanly.
-  (void)ada->query("bar.xtc", kProteinTag, FrameRange{0, 8, 1});
-  ASSERT_TRUE(plfs::repair_container(ada->mount(), "bar.xtc").is_ok());
-  const auto after = plfs::verify_container(ada->mount(), "bar.xtc").value();
-  EXPECT_TRUE(after.broken_records.empty());
-}
-
-TEST_F(FrameRangeTest, FsckFlagsAndRepairsLyingBlockListedFrameTables) {
-  // The same damage on a 40-frame extent, whose record carries a block
-  // checksum list: the index must still decode, so the other tags stay
-  // readable, fsck names the one record and repair drops it.
-  auto ada = open_ada("fsck_bad_blocks", true, 0);
-  ASSERT_TRUE(ada->ingest(system_, make_xtc(40), "bar.xtc").is_ok());
-  auto records = ada->mount().read_index("bar.xtc").value();
-  std::size_t corrupted = 0;
-  for (auto& record : records) {
-    if (record.label != kProteinTag || !record.has_frame_table()) continue;
-    ASSERT_TRUE(record.has_block_checksums());
-    auto table = record.frame_offsets;
-    table[1] = table[0];                  // not strictly increasing
-    table.back() = record.length + 1000;  // out of bounds
-    record.set_frame_table(std::move(table));
-    ++corrupted;
-  }
-  ASSERT_GT(corrupted, 0u);
-  ASSERT_TRUE(ada->mount().rewrite_index("bar.xtc", records).is_ok());
-
-  const auto report = plfs::verify_container(ada->mount(), "bar.xtc");
-  ASSERT_TRUE(report.is_ok()) << report.error().to_string();
-  EXPECT_FALSE(report.value().clean());
-  EXPECT_EQ(report.value().broken_records.size(), corrupted);
-  const auto tags = ada->tags("bar.xtc").value();
-  ASSERT_GT(tags.size(), 1u);
-  for (const Tag& tag : tags) {
-    if (tag != kProteinTag) EXPECT_TRUE(ada->query("bar.xtc", tag).is_ok()) << tag;
-  }
-
-  (void)ada->query("bar.xtc", kProteinTag, FrameRange{0, 40, 1});
-  ASSERT_TRUE(plfs::repair_container(ada->mount(), "bar.xtc").is_ok());
-  const auto after = plfs::verify_container(ada->mount(), "bar.xtc").value();
-  EXPECT_TRUE(after.broken_records.empty());
 }
 
 TEST_F(FrameRangeTest, NonCanonicalTablesFallBackAndStayCorrect) {
