@@ -524,11 +524,19 @@ Result<Ada::Planned> Ada::read_frames(const std::string& logical_name, const Tag
     block.claim.reset();
   }
 
-  // Assemble one canonical RAW segment.
+  // Assemble one canonical RAW segment.  When the selection is every frame
+  // of the one extent read whole (an uncached tail poll of one stream
+  // chunk) and that extent's stored header is the canonical one, the
+  // extent already is the segment (canonical_extent): return it, not a copy.
   std::vector<std::uint8_t> out;
-  out.reserve(16 + picked.size() * frame_bytes);
   append_raw_header(out, static_cast<std::uint32_t>((frame_bytes - 44) / 12),
                     static_cast<std::uint32_t>(picked.size()));
+  if (cache_ == nullptr && needed.size() == 1 && needed.front().whole() &&
+      picked.size() == locations[needed.front().location].frame_offsets.size() &&
+      std::equal(out.begin(), out.end(), images.front().begin())) {
+    return Planned{nullptr, std::move(images.front())};
+  }
+  out.reserve(16 + picked.size() * frame_bytes);
   for (const std::uint64_t g : picked) {
     const std::uint8_t* frame = nullptr;
     if (cache_ == nullptr) {
